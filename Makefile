@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci test race vet docs-check fuzz-smoke golden-update resilience bench bench-compare rtf rtf-check fleet-check dist-check figures examples examples-check served-check served-load cover clean
+.PHONY: all ci test race vet docs-check fuzz-smoke golden-update resilience bench bench-compare bench-check rtf rtf-check fleet-check dist-check figures examples examples-check served-check served-load cover clean
 
 all: vet test
 
@@ -10,8 +10,9 @@ all: vet test
 # doc-comment check, the example-stdout goldens, the real-time-factor
 # regression gate, the fleet-engine scaling gate, both server smokes
 # (end-to-end crash/restart, then load with required coalesce + disk-hit
-# evidence) and the distributed-execution smoke. Run it before pushing.
-ci: vet race docs-check examples-check rtf-check fleet-check served-check served-load dist-check
+# evidence), the distributed-execution smoke and the repository benchmark's
+# output checks. Run it before pushing.
+ci: vet race docs-check examples-check rtf-check fleet-check served-check served-load dist-check bench-check
 
 test:
 	$(GO) test ./...
@@ -38,7 +39,6 @@ fuzz-smoke:
 	$(GO) test ./internal/scatterframe -run='^$$' -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/scatterframe -run='^$$' -fuzz=FuzzDecodeSoft -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dsp -run='^$$' -fuzz=FuzzCorrelatorEquivalence -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/fxp -run='^$$' -fuzz=FuzzFxpRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzSpecDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/store -run='^$$' -fuzz=FuzzArtifactDecode -fuzztime=$(FUZZTIME)
 
@@ -69,17 +69,28 @@ bench-compare:
 	sh tools/benchdiff.sh $(OLD) $(NEW)
 
 # Print the transport real-time factor at 20 MHz (fixed-point streamer
-# headline plus both full-Session lanes); see docs/PERFORMANCE.md.
+# headline plus the full Session); see docs/PERFORMANCE.md.
 rtf:
 	$(GO) run ./cmd/lscatter-bench -rtf
 
 # Fail when the streamer RTF regresses more than 10% against the recorded
-# baseline in BENCH_R2.json (override RTF_BASELINE to gate against another
+# baseline in BENCH_R3.json (override RTF_BASELINE to gate against another
 # report). The absolute 10x target is advisory here because CI hardware
 # differs; enforce it with `go run ./tools/rtfcheck -require-target`.
 RTF_BASELINE ?= BENCH_R3.json
 rtf-check:
 	$(GO) run ./tools/rtfcheck $(RTF_BASELINE)
+
+# The repository benchmark's byte-identical gate: one short seed-1 run of
+# each workload (perfbench/README.md). run.sh exits 0 even when an output
+# check fails, so the gate reads the verdict from the run's last line, which
+# must carry "correct":true.
+bench-check:
+	@for w in paper-sweep exact-link served-mix; do \
+		last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1) || exit 1; \
+		echo "$$w: $$last"; \
+		case "$$last" in *'"correct":true'*) ;; *) echo "bench-check: $$w failed its output checks" >&2; exit 1;; esac; \
+	done
 
 # The fleet-engine gate: fleet and simlink tests under the race detector,
 # then the parked-heavy scaling smoke — a 10x-larger fleet at fixed aggregate

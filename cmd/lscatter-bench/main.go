@@ -26,7 +26,7 @@
 // summary goes to stderr. See docs/DISTRIBUTED.md.
 //
 // -rtf measures the real-time factor of the transport pipeline at 20 MHz on
-// one goroutine (fixed-point streamer headline plus both full-Session lanes)
+// one goroutine (fixed-point streamer headline plus the full Session)
 // and prints the result; it composes with -all and -metrics, in which case
 // the measurement lands in the report's "rtf" object. The methodology and
 // the recorded targets live in docs/PERFORMANCE.md; `make rtf-check` gates

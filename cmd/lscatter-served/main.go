@@ -1,6 +1,6 @@
 // Command lscatter-served is the LScatter deployment-simulation server: a
 // long-running JSON API that accepts deployment specs (venue, traffic model,
-// tag fleet, impairment ladder, lane, seed), runs them as background jobs on
+// tag fleet, impairment ladder, seed), runs them as background jobs on
 // the deterministic experiments worker pool, and serves cached, byte-stable
 // results from a content-addressed artifact store keyed by (spec-hash, seed).
 //

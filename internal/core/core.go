@@ -95,12 +95,6 @@ type LinkConfig struct {
 	// simply absent when off. Impair.SampleRate is filled in from the
 	// bandwidth automatically; Impair.Seed defaults to Seed when zero.
 	Impair *impair.Config
-	// Lane selects the exact chain's sample representation:
-	// simlink.LaneFloat (default, the conformance reference pinned by the
-	// golden vectors) or simlink.LaneFixedPoint (the Q1.15 hot path; same
-	// RNG streams, results within the error budget of docs/PERFORMANCE.md).
-	// Ignored in semi-analytic mode.
-	Lane simlink.Lane
 }
 
 // DefaultLinkConfig returns the smart-home baseline scenario: 3 ft spacings,
@@ -406,7 +400,6 @@ func runExact(cfg LinkConfig) LinkReport {
 		Link:    channel.NewLink(noiseRng, noisePerSample, channel.WithImpairment(rxPipe)),
 		Tracker: tracker,
 		Sink:    sink,
-		Lane:    cfg.Lane,
 	}
 	sess.Run(cfg.Subframes)
 

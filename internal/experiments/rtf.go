@@ -18,11 +18,10 @@ import (
 // Real-time-factor (RTF) measurement: simulated seconds produced per
 // wall-clock second, on one goroutine. The headline number is the
 // fixed-point transport pipeline (simlink.Streamer) at the configured
-// bandwidth — the chain the Q1.15 lane was built to accelerate — with the
-// full float and fixed-point Sessions over the same stage graph reported as
+// bandwidth, with the full Session over the same stage graph reported as
 // secondary context. docs/PERFORMANCE.md defines the methodology and the
 // recorded targets; tools/rtfcheck gates regressions against the baseline
-// in BENCH_R2.json.
+// in BENCH_R3.json.
 
 // RTFConfig parameterizes an RTF run.
 type RTFConfig struct {
@@ -31,7 +30,7 @@ type RTFConfig struct {
 	// Subframes is the timed streamer length in ms (default 2000).
 	Subframes int
 	// SessionSubframes is the timed length of the secondary full-Session
-	// measurements (default 10; they are orders of magnitude slower).
+	// measurement (default 10; it is orders of magnitude slower).
 	SessionSubframes int
 	// Seed drives payload and noise.
 	Seed uint64
@@ -50,10 +49,8 @@ type RTFReport struct {
 	// RTF is the headline: simulated seconds per wall-clock second for the
 	// fixed-point transport pipeline on one goroutine.
 	RTF float64 `json:"rtf"`
-	// SessionFxpRTF is the full fixed-point Session (source generation,
-	// modulation, paths, combine, noise) over the same stage graph.
-	SessionFxpRTF float64 `json:"session_fxp_rtf"`
-	// SessionFloatRTF is the float-lane counterpart of SessionFxpRTF.
+	// SessionFloatRTF is the full Session (source generation, modulation,
+	// paths, combine, noise) over the same stage graph.
 	SessionFloatRTF float64 `json:"session_float_rtf"`
 	// GoVersion and CPU record the machine the numbers were taken on.
 	GoVersion string `json:"go_version"`
@@ -68,8 +65,7 @@ func (r *RTFReport) Render() string {
 	fmt.Fprintf(&b, "RTF @ %s (%.2f MS/s, one goroutine)\n", r.BW, r.SampleRateHz/1e6)
 	fmt.Fprintf(&b, "  transport (fxp streamer): %7.2fx real time  (%d subframes in %.3f s)\n",
 		r.RTF, r.Subframes, r.WallSeconds)
-	fmt.Fprintf(&b, "  session   (fxp lane):     %7.2fx real time\n", r.SessionFxpRTF)
-	fmt.Fprintf(&b, "  session   (float lane):   %7.2fx real time\n", r.SessionFloatRTF)
+	fmt.Fprintf(&b, "  session:                  %7.2fx real time\n", r.SessionFloatRTF)
 	fmt.Fprintf(&b, "  %s, %s", r.GoVersion, r.CPU)
 	return b.String()
 }
@@ -105,9 +101,9 @@ func rtfStreamConfig(bw ltephy.Bandwidth, seed uint64) simlink.StreamConfig {
 	}
 }
 
-// rtfSession builds the Session twin of rtfStreamConfig in the given lane
-// (no sink: the measurement is the transport chain itself).
-func rtfSession(bw ltephy.Bandwidth, seed uint64, lane simlink.Lane) *simlink.Session {
+// rtfSession builds the Session twin of rtfStreamConfig (no sink: the
+// measurement is the transport chain itself).
+func rtfSession(bw ltephy.Bandwidth, seed uint64) *simlink.Session {
 	p := ltephy.DefaultParams(bw)
 	sc := rtfStreamConfig(bw, seed)
 	mod := tag.NewModulator(sc.Tag)
@@ -121,7 +117,6 @@ func rtfSession(bw ltephy.Bandwidth, seed uint64, lane simlink.Lane) *simlink.Se
 			Feed: func(int, *tag.Modulator) { mod.QueueBits(payload) },
 		}},
 		Link: channel.NewLink(rng.New(seed).Fork(1), sc.NoisePowerW),
-		Lane: lane,
 	}
 }
 
@@ -165,21 +160,13 @@ func RunRTF(cfg RTFConfig) *RTFReport {
 	rep.Checksum = st.Checksum()
 	rep.RTF = float64(cfg.Subframes) * simPerSubframe / rep.WallSeconds
 
-	// Secondary: the full Session in both lanes (includes live source
-	// generation and per-sample modulation — the general engine, not the
-	// precomputed transport core).
-	for _, lane := range []simlink.Lane{simlink.LaneFixedPoint, simlink.LaneFloat} {
-		sess := rtfSession(cfg.BW, cfg.Seed, lane)
-		sess.Run(1) // warm the waveform cache path
-		start = time.Now()
-		sess.Run(cfg.SessionSubframes)
-		wall := time.Since(start).Seconds()
-		rtf := float64(cfg.SessionSubframes) * simPerSubframe / wall
-		if lane == simlink.LaneFixedPoint {
-			rep.SessionFxpRTF = rtf
-		} else {
-			rep.SessionFloatRTF = rtf
-		}
-	}
+	// Secondary: the full Session (includes live source generation and
+	// per-sample modulation — the general engine, not the precomputed
+	// transport core).
+	sess := rtfSession(cfg.BW, cfg.Seed)
+	sess.Run(1) // warm the waveform cache path
+	start = time.Now()
+	sess.Run(cfg.SessionSubframes)
+	rep.SessionFloatRTF = float64(cfg.SessionSubframes) * simPerSubframe / time.Since(start).Seconds()
 	return rep
 }

@@ -25,7 +25,7 @@ type BankConfig struct {
 	// interference-limited receiver.
 	NoiseW float64
 	// Threshold is the fleet size above which AutoBank installs the bank;
-	// at or below it the session's built-in O(all tags) stage wins on
+	// at or below it the session's default O(all tags) TDMA bank wins on
 	// constant factors. Defaults to 64.
 	Threshold int
 	// Force makes AutoBank install the bank regardless of fleet size.
@@ -33,7 +33,7 @@ type BankConfig struct {
 	// NoAggregate disables the closed-form parked aggregate: every parked
 	// tag is full-simulated per sample (audit mode). Since the engine
 	// assembles bank contributions in tag-index order, an audit-mode bank
-	// reproduces the built-in TDMA stage bit for bit — the scheduling layer
+	// reproduces the default TDMA bank bit for bit — the scheduling layer
 	// alone, with the aggregation optimization out of the loop. O(all
 	// tags) again; testing only.
 	NoAggregate bool
@@ -158,7 +158,7 @@ func Attach(s *simlink.Session, cfg BankConfig) *Bank {
 
 // AutoBank installs a bank when the fleet is large enough to profit
 // (len(Tags) > Threshold) or when cfg.Force is set, and returns it; small
-// fleets keep the session's built-in tag stage and get nil back.
+// fleets keep the session's default TDMA bank and get nil back.
 func AutoBank(s *simlink.Session, cfg BankConfig) *Bank {
 	threshold := cfg.Threshold
 	if threshold <= 0 {
@@ -241,7 +241,7 @@ func (b *Bank) PlanSubframe(n int, burst bool) simlink.BankPlan {
 	var pl simlink.BankPlan
 	if b.cfg.MAC == TDMA && b.cfg.Owner != nil {
 		// An explicit TDMA schedule is honored per subframe, exactly like
-		// the session's built-in Owner hook.
+		// the session's default TDMA bank.
 		b.curOwner = b.cfg.Owner(n)
 	}
 	pl.Owner = b.curOwner

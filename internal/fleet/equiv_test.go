@@ -1,24 +1,22 @@
 package fleet_test
 
 // Exact-mode parity: for small fleets, a session driven by the event-driven
-// Bank must reproduce the built-in per-sample TDMA tag stage's demodulated
-// output — same decision bits, same per-tag ledgers — under every rung of
-// the shared impairment ladder, in both lanes.
+// Bank must reproduce the Session's default per-sample TDMA bank's
+// demodulated output — same decision bits, same per-tag ledgers — under
+// every rung of the shared impairment ladder.
 //
 // The parity claim splits in two:
 //
 //   - Scheduling parity is bit-exact and is asserted exactly, everywhere:
 //     with the closed-form aggregate disabled (audit mode) the bank's plans
 //     drive the very same per-sample computations in the very same order as
-//     the built-in stage, so any divergence is a scheduler/dispatch bug.
+//     the default TDMA bank, so any divergence is a scheduler bug.
 //   - The closed-form parked aggregate is mathematically identical but not
 //     float-associative: ambient*(sum of coefficients) rounds differently
-//     than summing per-tag applications, and the Q1.15 lane quantizes one
-//     aggregate rotation instead of a rotation per hop. The waveforms agree
-//     to ~1 ulp (float) / ~2^-15 (fxp), far below noise — but a decode
-//     sitting exactly on a threshold can land either way, so at the
-//     marginal rungs the demod output is compared statistically instead of
-//     bit for bit.
+//     than summing per-tag applications. The waveforms agree to ~1 ulp, far
+//     below noise — but a decode sitting exactly on a threshold can land
+//     either way, so at the marginal rung the demod output is compared
+//     statistically instead of bit for bit.
 
 import (
 	"bytes"
@@ -42,7 +40,7 @@ import (
 type bankMode int
 
 const (
-	modeBuiltin bankMode = iota // no bank: the built-in TDMA stage
+	modeBuiltin bankMode = iota // no bank: the Session's default TDMA bank
 	modeAudit                   // bank with the aggregate disabled
 	modeBank                    // bank with closed-form aggregation
 )
@@ -51,7 +49,7 @@ const (
 // owning, burst-aligned rotation, scalar two-hop paths — except the last
 // tag, whose multipath path cannot fold into a scalar and must take the
 // bank's per-sample ParkFull route.
-func equivSession(n int, lane simlink.Lane, ic impair.Config, seed uint64, mode bankMode) (*simlink.Session, *simlink.DemodSink) {
+func equivSession(n int, ic impair.Config, seed uint64, mode bankMode) (*simlink.Session, *simlink.DemodSink) {
 	p := ltephy.DefaultParams(ltephy.BW1_4)
 	sr := p.SampleRate()
 	r := rng.New(seed)
@@ -126,7 +124,6 @@ func equivSession(n int, lane simlink.Lane, ic impair.Config, seed uint64, mode 
 		Link:    channel.NewLink(r.Fork(7), noisePerSample, channel.WithImpairment(pipe)),
 		Tracker: tracker,
 		Sink:    sink,
-		Lane:    lane,
 	}
 	if mode != modeBuiltin {
 		fleet.Attach(sess, fleet.BankConfig{
@@ -138,37 +135,61 @@ func equivSession(n int, lane simlink.Lane, ic impair.Config, seed uint64, mode 
 	return sess, sink
 }
 
-var equivLanes = []struct {
-	name string
-	lane simlink.Lane
-}{
-	{"float", simlink.LaneFloat},
-	{"fxp", simlink.LaneFixedPoint},
-}
-
 const equivSubframes = 40
 
 func equivSeed(n int) uint64 { return uint64(0x5ca1e<<8) ^ uint64(n) }
 
 // TestBankMatchesBuiltinTDMA asserts scheduling parity bit for bit: an
-// audit-mode bank (aggregate off) against the built-in stage, for every
-// fleet size, lane and impairment rung.
+// audit-mode bank (aggregate off) against the default TDMA bank, for every
+// fleet size and impairment rung.
 func TestBankMatchesBuiltinTDMA(t *testing.T) {
 	for _, n := range []int{2, 4, 8} {
-		for _, ln := range equivLanes {
-			for _, lvl := range experiments.ImpairmentLevels() {
-				t.Run(fmt.Sprintf("n%d/%s/%s", n, ln.name, lvl.Name), func(t *testing.T) {
-					seed := equivSeed(n)
-					ref, refSink := equivSession(n, ln.lane, lvl.Impair, seed, modeBuiltin)
-					bnk, bnkSink := equivSession(n, ln.lane, lvl.Impair, seed, modeAudit)
-					ref.Run(equivSubframes)
-					bnk.Run(equivSubframes)
+		for _, lvl := range experiments.ImpairmentLevels() {
+			t.Run(fmt.Sprintf("n%d/%s", n, lvl.Name), func(t *testing.T) {
+				seed := equivSeed(n)
+				ref, refSink := equivSession(n, lvl.Impair, seed, modeBuiltin)
+				bnk, bnkSink := equivSession(n, lvl.Impair, seed, modeAudit)
+				ref.Run(equivSubframes)
+				bnk.Run(equivSubframes)
 
+				if !bytes.Equal(refSink.Bits, bnkSink.Bits) {
+					t.Fatalf("demodulated bits diverge: %d vs %d bits", len(refSink.Bits), len(bnkSink.Bits))
+				}
+				if len(bnkSink.Accounts) != len(refSink.Accounts) {
+					t.Fatalf("account keys diverge: bank %d tags, builtin %d", len(bnkSink.Accounts), len(refSink.Accounts))
+				}
+				for i, want := range refSink.Accounts {
+					got := bnkSink.Accounts[i]
+					if got == nil || *got != *want {
+						t.Fatalf("tag %d ledger diverges: bank %+v, builtin %+v", i, got, want)
+					}
+				}
+				if refSink.Totals().Total == 0 {
+					t.Fatal("fixture degenerate: no bits compared")
+				}
+			})
+		}
+	}
+}
+
+// TestAggregateParity turns the closed-form aggregate on. At the healthy
+// rungs the demod output still matches bit for bit; at the marginal rung
+// (severe) the comparison is statistical — same sync, ledgers for every
+// tag, and BER within noise of the reference.
+func TestAggregateParity(t *testing.T) {
+	for _, n := range []int{2, 4, 8} {
+		for _, lvl := range experiments.ImpairmentLevels() {
+			exact := lvl.Name != "severe"
+			t.Run(fmt.Sprintf("n%d/%s", n, lvl.Name), func(t *testing.T) {
+				seed := equivSeed(n)
+				ref, refSink := equivSession(n, lvl.Impair, seed, modeBuiltin)
+				bnk, bnkSink := equivSession(n, lvl.Impair, seed, modeBank)
+				ref.Run(equivSubframes)
+				bnk.Run(equivSubframes)
+
+				if exact {
 					if !bytes.Equal(refSink.Bits, bnkSink.Bits) {
 						t.Fatalf("demodulated bits diverge: %d vs %d bits", len(refSink.Bits), len(bnkSink.Bits))
-					}
-					if len(bnkSink.Accounts) != len(refSink.Accounts) {
-						t.Fatalf("account keys diverge: bank %d tags, builtin %d", len(bnkSink.Accounts), len(refSink.Accounts))
 					}
 					for i, want := range refSink.Accounts {
 						got := bnkSink.Accounts[i]
@@ -176,55 +197,19 @@ func TestBankMatchesBuiltinTDMA(t *testing.T) {
 							t.Fatalf("tag %d ledger diverges: bank %+v, builtin %+v", i, got, want)
 						}
 					}
-					if refSink.Totals().Total == 0 {
-						t.Fatal("fixture degenerate: no bits compared")
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestAggregateParity turns the closed-form aggregate on. At the healthy
-// float rungs the demod output still matches bit for bit; at the marginal
-// rungs (severe) and in the quantized lane the comparison is statistical —
-// same sync, ledgers for every tag, and BER within noise of the reference.
-func TestAggregateParity(t *testing.T) {
-	for _, n := range []int{2, 4, 8} {
-		for _, ln := range equivLanes {
-			for _, lvl := range experiments.ImpairmentLevels() {
-				exact := ln.lane == simlink.LaneFloat && lvl.Name != "severe"
-				t.Run(fmt.Sprintf("n%d/%s/%s", n, ln.name, lvl.Name), func(t *testing.T) {
-					seed := equivSeed(n)
-					ref, refSink := equivSession(n, ln.lane, lvl.Impair, seed, modeBuiltin)
-					bnk, bnkSink := equivSession(n, ln.lane, lvl.Impair, seed, modeBank)
-					ref.Run(equivSubframes)
-					bnk.Run(equivSubframes)
-
-					if exact {
-						if !bytes.Equal(refSink.Bits, bnkSink.Bits) {
-							t.Fatalf("demodulated bits diverge: %d vs %d bits", len(refSink.Bits), len(bnkSink.Bits))
-						}
-						for i, want := range refSink.Accounts {
-							got := bnkSink.Accounts[i]
-							if got == nil || *got != *want {
-								t.Fatalf("tag %d ledger diverges: bank %+v, builtin %+v", i, got, want)
-							}
-						}
-						return
-					}
-					if bnkSink.Synced != refSink.Synced {
-						t.Fatalf("sync diverges: bank %v, builtin %v", bnkSink.Synced, refSink.Synced)
-					}
-					rb, bb := refSink.Totals(), bnkSink.Totals()
-					if rb.Total == 0 || bb.Total == 0 {
-						t.Fatalf("degenerate totals: builtin %+v, bank %+v", rb, bb)
-					}
-					if d := math.Abs(rb.BER() - bb.BER()); d > 0.02 {
-						t.Fatalf("BER diverges beyond noise: builtin %.4f, bank %.4f", rb.BER(), bb.BER())
-					}
-				})
-			}
+					return
+				}
+				if bnkSink.Synced != refSink.Synced {
+					t.Fatalf("sync diverges: bank %v, builtin %v", bnkSink.Synced, refSink.Synced)
+				}
+				rb, bb := refSink.Totals(), bnkSink.Totals()
+				if rb.Total == 0 || bb.Total == 0 {
+					t.Fatalf("degenerate totals: builtin %+v, bank %+v", rb, bb)
+				}
+				if d := math.Abs(rb.BER() - bb.BER()); d > 0.02 {
+					t.Fatalf("BER diverges beyond noise: builtin %.4f, bank %.4f", rb.BER(), bb.BER())
+				}
+			})
 		}
 	}
 }

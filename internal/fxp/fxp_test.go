@@ -1,72 +1,10 @@
 package fxp
 
 import (
-	"math"
-	"math/cmplx"
 	"testing"
 
 	"lscatter/internal/rng"
 )
-
-// TestSaturationAtFullScale pins the rail behavior of the scalar primitives
-// at ±full scale.
-func TestSaturationAtFullScale(t *testing.T) {
-	cases := []struct {
-		a, b, want int16
-	}{
-		{MaxMant, 1, MaxMant},
-		{MaxMant, MaxMant, MaxMant},
-		{MinMant, -1, MinMant},
-		{MinMant, MinMant, MinMant},
-		{20000, 20000, MaxMant},
-		{-20000, -20000, MinMant},
-		{MaxMant, MinMant, -1},
-		{0, 0, 0},
-	}
-	for _, c := range cases {
-		if got := SatAdd(c.a, c.b); got != c.want {
-			t.Errorf("SatAdd(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-	if got := SatSub(MinMant, 1); got != MinMant {
-		t.Errorf("SatSub(%d, 1) = %d, want %d", MinMant, got, MinMant)
-	}
-	if got := SatSub(MaxMant, -1); got != MaxMant {
-		t.Errorf("SatSub(%d, -1) = %d, want %d", MaxMant, got, MaxMant)
-	}
-	// The one overflowing Q15 product: (-1.0)·(-1.0) saturates to +0.99997.
-	if got := MulQ15(MinMant, MinMant); got != MaxMant {
-		t.Errorf("MulQ15(-32768, -32768) = %d, want %d", got, MaxMant)
-	}
-}
-
-// TestMulQ15RoundToNearestEven pins the tie-breaking of the Q1.15 multiply:
-// a remainder of exactly half a step rounds to the even neighbor.
-func TestMulQ15RoundToNearestEven(t *testing.T) {
-	half := int16(One / 2) // 16384: a·half leaves remainder a/2 steps
-	cases := []struct {
-		a, want int16
-	}{
-		{1, 0},  // 0.5 -> 0 (even)
-		{2, 1},  // 1.0 exact
-		{3, 2},  // 1.5 -> 2 (even)
-		{4, 2},  // 2.0 exact
-		{5, 2},  // 2.5 -> 2 (even)
-		{7, 4},  // 3.5 -> 4 (even)
-		{-1, 0}, // -0.5 -> 0 (even)
-		{-3, -2},
-		{-5, -2},
-	}
-	for _, c := range cases {
-		if got := MulQ15(c.a, half); got != c.want {
-			t.Errorf("MulQ15(%d, %d) = %d, want %d", c.a, half, got, c.want)
-		}
-	}
-	// Non-tie remainders round to nearest as usual.
-	if got := MulQ15(100, 20000); got != 61 { // 100*20000/32768 = 61.035...
-		t.Errorf("MulQ15(100, 20000) = %d, want 61", got)
-	}
-}
 
 // TestQuantQ15 pins the conversion quantizer: symmetric clamp and
 // round-to-nearest-even.
@@ -82,162 +20,13 @@ func TestQuantQ15(t *testing.T) {
 		{-1.0, -MaxMant}, // symmetric clamp: negation-safe
 		{2.0, MaxMant},
 		{-2.0, -MaxMant},
-		{1.5 / One, 2},  // tie -> even
-		{2.5 / One, 2},  // tie -> even
+		{1.5 / One, 2}, // tie -> even
+		{2.5 / One, 2}, // tie -> even
 		{-1.5 / One, -2},
 	}
 	for _, c := range cases {
 		if got := QuantQ15(c.x); got != c.want {
 			t.Errorf("QuantQ15(%v) = %d, want %d", c.x, got, c.want)
-		}
-	}
-}
-
-// roundTripErr returns the largest per-component conversion error of a
-// block, in absolute units.
-func roundTripErr(x []complex128, b *Buf) float64 {
-	worst := 0.0
-	for i, v := range x {
-		got := b.At(i)
-		if e := math.Abs(real(got) - real(v)); e > worst {
-			worst = e
-		}
-		if e := math.Abs(imag(got) - imag(v)); e > worst {
-			worst = e
-		}
-	}
-	return worst
-}
-
-// TestBlockScaleRoundTrip covers the conversion error bound across scales,
-// including denormal-adjacent magnitudes where a naive 1/scale overflows.
-func TestBlockScaleRoundTrip(t *testing.T) {
-	blocks := [][]complex128{
-		{complex(0.7, -0.3), complex(-1e-4, 2e-3)},
-		{complex(1e6, -2.5e6), complex(3.1e6, 0)},
-		{complex(1e-300, 0), complex(0, -3e-301)},
-		{complex(math.SmallestNonzeroFloat64, 0), complex(0, -math.SmallestNonzeroFloat64)},
-		{complex(0x1p-1022, -0x1p-1040), complex(0x1p-1074, 0)},
-		{complex(0, 0), complex(0, 0)},
-	}
-	for _, x := range blocks {
-		b := FromComplex(x)
-		if !(b.Scale > 0) || math.IsInf(1/b.Scale, 0) {
-			t.Fatalf("block %v got uninvertible scale %v", x, b.Scale)
-		}
-		bound := b.Scale / 65536 * (1 + 1e-12)
-		if err := roundTripErr(x, b); err > bound {
-			t.Errorf("block %v: round-trip error %g exceeds Scale/65536 = %g", x, err, bound)
-		}
-		// Re-quantizing the quantized block at the same scale is an identity.
-		y := b.ToComplex(nil)
-		b2 := New(len(y))
-		b2.SetComplexAt(y, b.Scale)
-		for i := range b.I {
-			if b.I[i] != b2.I[i] || b.Q[i] != b2.Q[i] {
-				t.Fatalf("re-quantization not idempotent at %d: (%d,%d) -> (%d,%d)",
-					i, b.I[i], b.Q[i], b2.I[i], b2.Q[i])
-			}
-		}
-	}
-}
-
-// TestScaleByAndRotate checks the O(1) gain path and the Q15 rotation
-// against float arithmetic.
-func TestScaleByAndRotate(t *testing.T) {
-	r := rng.New(7)
-	x := make([]complex128, 257)
-	for i := range x {
-		x[i] = r.Complex(0.3)
-	}
-	b := FromComplex(x)
-	iBefore := append([]int16(nil), b.I...)
-	b.ScaleBy(1e-3)
-	for i := range b.I {
-		if b.I[i] != iBefore[i] {
-			t.Fatal("ScaleBy touched a mantissa")
-		}
-	}
-	for i := range x {
-		x[i] *= 1e-3
-	}
-	if err := roundTripErr(x, b); err > b.Scale/65536*(1+1e-12) {
-		t.Errorf("ScaleBy error %g beyond bound", err)
-	}
-
-	// Rotation by a complex gain: magnitude into the scale, phase per
-	// sample. The Q15 phasor and per-sample rounding each cost at most one
-	// step, so allow a few steps of slack.
-	g := 2.5 * cmplx.Exp(complex(0, 1.1))
-	b.Rotate(g)
-	for i := range x {
-		x[i] *= g
-	}
-	if err := roundTripErr(x, b); err > 4*b.Scale/32768 {
-		t.Errorf("Rotate error %g beyond 4 steps (%g)", err, 4*b.Scale/32768)
-	}
-}
-
-// TestAccumulateSat checks cross-scale accumulation and saturation against
-// a float reference.
-func TestAccumulateSat(t *testing.T) {
-	r := rng.New(11)
-	n := 123
-	xa := make([]complex128, n)
-	xb := make([]complex128, n)
-	for i := range xa {
-		xa[i] = r.Complex(0.2)
-		xb[i] = r.Complex(0.002) // two decades down: exercises alignment
-	}
-	a, bb := FromComplex(xa), FromComplex(xb)
-	AccumulateSat(a, bb)
-	for i := range xa {
-		want := xa[i] + xb[i]
-		got := a.At(i)
-		if e := cmplx.Abs(got - want); e > 3*a.Scale/32768 {
-			t.Fatalf("AccumulateSat sample %d: |%v - %v| = %g beyond 3 steps", i, got, want, e)
-		}
-	}
-
-	// Same-scale saturating path: rails must clip, not wrap.
-	s1, s2 := New(8), New(8)
-	for i := 0; i < 8; i++ {
-		s1.I[i], s1.Q[i] = 30000, -30000
-		s2.I[i], s2.Q[i] = 30000, -30000
-	}
-	AccumulateSat(s1, s2)
-	for i := 0; i < 8; i++ {
-		if s1.I[i] != MaxMant || s1.Q[i] != MinMant {
-			t.Fatalf("saturating add sample %d: got (%d,%d)", i, s1.I[i], s1.Q[i])
-		}
-	}
-}
-
-// TestAddSatWordsMatchesScalar drives the SWAR adder against the scalar
-// primitive over random lanes, including rail-adjacent values.
-func TestAddSatWordsMatchesScalar(t *testing.T) {
-	r := rng.New(13)
-	n := 4096
-	a, b := New(n), New(n)
-	want := make([]int16, n)
-	for i := 0; i < n; i++ {
-		av := int16(r.Uint64())
-		bv := int16(r.Uint64())
-		switch i % 7 { // sprinkle rail-adjacent operands
-		case 0:
-			av = MaxMant
-		case 3:
-			av = MinMant
-		case 5:
-			bv = MinMant
-		}
-		a.I[i], b.I[i] = av, bv
-		want[i] = SatAdd(av, bv)
-	}
-	addSatWords(a.IWords(), b.IWords())
-	for i := 0; i < n; i++ {
-		if a.I[i] != want[i] {
-			t.Fatalf("lane %d: SWAR %d != scalar %d", i, a.I[i], want[i])
 		}
 	}
 }
@@ -338,45 +127,4 @@ func TestPackBiasedContract(t *testing.T) {
 	}()
 	dst := make([]uint64, 1)
 	PackBiased(dst, []int16{32000}, 1000)
-}
-
-// FuzzFxpRoundTrip fuzzes the block-scale conversion: for any finite
-// 2-sample block the round-trip error stays within Scale/65536 per
-// component, and re-quantizing the quantized block is an identity.
-func FuzzFxpRoundTrip(f *testing.F) {
-	f.Add(0.5, -0.25, 1e-9, 3e6)
-	f.Add(0.0, 0.0, 0.0, 0.0)
-	f.Add(math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, 0x1p-1040)
-	f.Add(1e308, -1e308, 1e-308, 0.0)
-	f.Fuzz(func(t *testing.T, re1, im1, re2, im2 float64) {
-		vals := []float64{re1, im1, re2, im2}
-		maxAbs := 0.0
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Skip("non-finite input")
-			}
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		x := []complex128{complex(re1, im1), complex(re2, im2)}
-		b := FromComplex(x)
-		if !(b.Scale > 0) || math.IsInf(1/b.Scale, 0) || math.IsNaN(b.Scale) {
-			t.Fatalf("bad scale %v", b.Scale)
-		}
-		if maxAbs <= b.Scale { // beyond maxScale the conversion saturates by contract
-			bound := b.Scale / 65536 * (1 + 1e-12)
-			if err := roundTripErr(x, b); err > bound {
-				t.Fatalf("round-trip error %g exceeds %g (scale %g)", err, bound, b.Scale)
-			}
-		}
-		y := b.ToComplex(nil)
-		b2 := New(len(y))
-		b2.SetComplexAt(y, b.Scale)
-		for i := range b.I {
-			if b.I[i] != b2.I[i] || b.Q[i] != b2.Q[i] {
-				t.Fatalf("re-quantization not idempotent at sample %d", i)
-			}
-		}
-	})
 }

@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+
+	"lscatter/internal/store"
 )
 
 // Server is the HTTP skin over a Manager.
@@ -83,9 +85,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // metricsDoc is the /metricsz body. Disk is present only when the server
 // runs with a durable artifact store (-artifact-dir).
 type metricsDoc struct {
-	Jobs  Counters   `json:"jobs"`
-	Store StoreStats `json:"store"`
-	Disk  *DiskStats `json:"disk,omitempty"`
+	Jobs  Counters          `json:"jobs"`
+	Store store.MemoryStats `json:"store"`
+	Disk  *store.DiskStats  `json:"disk,omitempty"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -42,7 +42,7 @@ type Job struct {
 	mu sync.Mutex
 
 	id        string
-	key       Key
+	key       store.Key
 	state     State
 	cacheHit  bool
 	coalesced bool
@@ -62,7 +62,7 @@ type Job struct {
 // computation is canceled only when every attached job has been canceled.
 // Guarded by the Manager's mu.
 type flight struct {
-	key      Key
+	key      store.Key
 	spec     *Spec
 	jobs     []*Job // attached, in attach order; jobs[0] created the flight
 	waiters  int    // attached jobs not yet individually canceled
@@ -243,8 +243,8 @@ type Options struct {
 // it.
 type Manager struct {
 	opts  Options
-	store *Store
-	disk  *DiskStore // nil when no ArtifactDir is configured
+	store *store.Memory
+	disk  *store.DiskStore // nil when no ArtifactDir is configured
 	// executor is the shared compute-and-persist stack (internal/exec): a
 	// Local executor bottoming out in RunDeployment, wrapped — when a
 	// durable store is configured — in a Checkpointed executor that records
@@ -255,7 +255,7 @@ type Manager struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string // submission order, for listing
-	inflight map[Key]*flight
+	inflight map[store.Key]*flight
 	nextID   uint64
 	counters Counters
 	closed   bool
@@ -281,13 +281,13 @@ func NewManager(opts Options) (*Manager, error) {
 	}
 	m := &Manager{
 		opts:     opts,
-		store:    NewStore(opts.StoreEntries),
+		store:    store.NewMemory(opts.StoreEntries),
 		jobs:     make(map[string]*Job),
-		inflight: make(map[Key]*flight),
+		inflight: make(map[store.Key]*flight),
 		queue:    make(chan *flight, opts.QueueDepth),
 	}
 	if opts.ArtifactDir != "" {
-		disk, err := OpenDiskStore(opts.ArtifactDir, opts.DiskMaxBytes, opts.Logf)
+		disk, err := store.Open(opts.ArtifactDir, opts.DiskMaxBytes, opts.Logf)
 		if err != nil {
 			return nil, err
 		}
@@ -317,10 +317,10 @@ func NewManager(opts Options) (*Manager, error) {
 }
 
 // Store exposes the in-memory artifact store (read-only use: stats, tests).
-func (m *Manager) Store() *Store { return m.store }
+func (m *Manager) Store() *store.Memory { return m.store }
 
 // Disk exposes the durable artifact store, nil when not configured.
-func (m *Manager) Disk() *DiskStore { return m.disk }
+func (m *Manager) Disk() *store.DiskStore { return m.disk }
 
 // Counters snapshots the manager counters.
 func (m *Manager) Counters() Counters {
@@ -330,7 +330,7 @@ func (m *Manager) Counters() Counters {
 }
 
 // newJobLocked builds an unregistered job; registerLocked admits it.
-func (m *Manager) newJobLocked(key Key, total int) *Job {
+func (m *Manager) newJobLocked(key store.Key, total int) *Job {
 	return &Job{
 		id:       fmt.Sprintf("run-%06d", m.nextID+1),
 		key:      key,
@@ -364,7 +364,7 @@ func (m *Manager) registerLocked(job *Job) {
 // the memory store and the in-flight table before falling through to a new
 // flight.
 func (m *Manager) Submit(normalized *Spec) (*Job, error) {
-	key := Key{SpecHash: normalized.Hash(), Seed: normalized.Seed}
+	key := store.Key{SpecHash: normalized.Hash(), Seed: normalized.Seed}
 	diskProbed := false
 	for {
 		m.mu.Lock()
@@ -649,12 +649,12 @@ func (m *Manager) countCancel() {
 // verbatim, which is what makes the "byte-identical results" contract
 // trivially auditable.
 type ResultDoc struct {
-	Key    Key                           `json:"key"`
+	Key    store.Key                     `json:"key"`
 	Spec   *Spec                         `json:"spec"`
 	Result *experiments.DeploymentResult `json:"result"`
 }
 
-func buildResultBody(key Key, spec *Spec, res *experiments.DeploymentResult) []byte {
+func buildResultBody(key store.Key, spec *Spec, res *experiments.DeploymentResult) []byte {
 	b, err := json.MarshalIndent(&ResultDoc{Key: key, Spec: spec, Result: res}, "", "  ")
 	if err != nil {
 		// The document is a tree of plain structs and scalars.

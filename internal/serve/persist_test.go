@@ -101,7 +101,7 @@ func TestManagerRecomputesAfterCorruption(t *testing.T) {
 	}
 
 	// Flip a bit in the stored body.
-	key := Key{SpecHash: spec.Hash(), Seed: spec.Seed}
+	key := store.Key{SpecHash: spec.Hash(), Seed: spec.Seed}
 	path := filepath.Join(dir, store.FileName(key))
 	data, err := os.ReadFile(path)
 	if err != nil {

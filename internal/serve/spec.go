@@ -12,7 +12,6 @@ import (
 	"lscatter/internal/core"
 	"lscatter/internal/experiments"
 	"lscatter/internal/ltephy"
-	"lscatter/internal/simlink"
 	"lscatter/internal/traffic"
 )
 
@@ -47,7 +46,9 @@ type Spec struct {
 	// Mode is "semi-analytic" (default) or "exact" (bit-true chain per tag,
 	// capped — see Validate).
 	Mode string `json:"mode"`
-	// Lane is "float" (default) or "fxp" (Q1.15 hot path); exact mode only.
+	// Lane is the sample representation; "float" (the default) is the only
+	// accepted value. It is part of the canonical encoding, so dropping it
+	// would change every content hash and on-disk artifact name.
 	Lane string `json:"lane"`
 	// Subframes is the exact-mode simulated length per tag in ms
 	// (default 5, cap MaxSubframes).
@@ -171,12 +172,11 @@ func (s *Spec) Normalize() (*Spec, error) {
 	default:
 		return nil, fmt.Errorf("spec: unknown mode %q (want semi-analytic or exact)", n.Mode)
 	}
-	switch n.Lane {
-	case "":
+	if n.Lane == "" {
 		n.Lane = "float"
-	case "float", "fxp":
-	default:
-		return nil, fmt.Errorf("spec: unknown lane %q (want float or fxp)", n.Lane)
+	}
+	if n.Lane != "float" {
+		return nil, fmt.Errorf("spec: unknown lane %q (float is the only lane)", n.Lane)
 	}
 	if n.Impairment == "" {
 		n.Impairment = "off"
@@ -239,9 +239,6 @@ func (s *Spec) Normalize() (*Spec, error) {
 		if n.Subframes != 0 {
 			return nil, errors.New("spec: subframes only applies to exact mode")
 		}
-		if n.Lane != "float" {
-			return nil, errors.New("spec: lane only applies to exact mode")
-		}
 		if n.Impairment != "off" {
 			return nil, errors.New("spec: the impairment ladder only applies to exact mode")
 		}
@@ -291,10 +288,6 @@ func (s *Spec) Deployment() experiments.DeploymentConfig {
 	if s.Mode == "exact" {
 		mode = core.Exact
 	}
-	lane := simlink.LaneFloat
-	if s.Lane == "fxp" {
-		lane = simlink.LaneFixedPoint
-	}
 	impairment := s.Impairment
 	if impairment == "off" {
 		impairment = ""
@@ -308,7 +301,6 @@ func (s *Spec) Deployment() experiments.DeploymentConfig {
 		Traffic:      techs[s.Traffic],
 		Hour:         *s.Hour,
 		Mode:         mode,
-		Lane:         lane,
 		Subframes:    s.Subframes,
 		Impair:       impairment,
 		TxPowerDBm:   *s.TxPowerDBm,

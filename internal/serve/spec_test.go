@@ -6,7 +6,6 @@ import (
 
 	"lscatter/internal/core"
 	"lscatter/internal/ltephy"
-	"lscatter/internal/simlink"
 	"lscatter/internal/traffic"
 )
 
@@ -116,14 +115,13 @@ func TestSpecDefaulting(t *testing.T) {
 		},
 		{
 			"enums case-insensitive",
-			`{"venue":"Mall","mode":"EXACT","bandwidth":"1.4MHz","lane":"FXP"}`,
+			`{"venue":"Mall","mode":"EXACT","bandwidth":"1.4MHz","lane":"FLOAT"}`,
 			func(t *testing.T, n *Spec) {
-				if n.Venue != "mall" || n.Mode != "exact" || n.Lane != "fxp" {
+				if n.Venue != "mall" || n.Mode != "exact" || n.Lane != "float" {
 					t.Fatalf("case folding failed: %+v", n)
 				}
 				d := n.Deployment()
-				if d.Venue != traffic.Mall || d.Mode != core.Exact ||
-					d.Lane != simlink.LaneFixedPoint || d.BW != ltephy.BW1_4 {
+				if d.Venue != traffic.Mall || d.Mode != core.Exact || d.BW != ltephy.BW1_4 {
 					t.Fatalf("deployment mapping: %+v", d)
 				}
 			},
@@ -170,7 +168,8 @@ func TestSpecValidationRejects(t *testing.T) {
 		{"hour out of range", `{"hour":24}`, "hour"},
 		{"negative subframes", `{"subframes":-1}`, "subframes"},
 		{"subframes outside exact", `{"subframes":5}`, "exact mode"},
-		{"lane outside exact", `{"lane":"fxp"}`, "exact mode"},
+		{"lane outside exact", `{"lane":"fxp"}`, "float is the only lane"},
+		{"fxp lane", `{"mode":"exact","bandwidth":"1.4MHz","lane":"fxp"}`, "float is the only lane"},
 		{"impairment outside exact", `{"impairment":"mild"}`, "exact mode"},
 	}
 	for _, tc := range cases {
@@ -216,6 +215,26 @@ func TestSpecHashCanonicalization(t *testing.T) {
 	}
 	if n4.Hash() == n1.Hash() {
 		t.Fatal("seed change did not change the canonical hash")
+	}
+}
+
+// TestSpecHashPinned pins canonical hashes: they name the cached and
+// on-disk artifacts, so a change to the canonical encoding (the "lane"
+// field included) would orphan every stored result.
+func TestSpecHashPinned(t *testing.T) {
+	cases := []struct{ body, want string }{
+		{`{}`, "f71cccaec663f15e"},
+		{`{"mode":"exact","bandwidth":"1.4MHz"}`, "d3b833ec491732d9"},
+		{`{"mode":"exact","bandwidth":"1.4MHz","lane":"float","impairment":"moderate","tags":2}`, "dd64608847580b17"},
+	}
+	for _, tc := range cases {
+		n, err := decodeValid(t, tc.body).Normalize()
+		if err != nil {
+			t.Fatalf("normalize %s: %v", tc.body, err)
+		}
+		if got := n.Hash(); got != tc.want {
+			t.Errorf("hash of %s = %s, want %s", tc.body, got, tc.want)
+		}
 	}
 }
 

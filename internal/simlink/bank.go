@@ -9,15 +9,14 @@ import (
 //
 // The frame's propagation paths are assembled in a fixed, documented order —
 // direct path, then every named tag (Owner, Interferers, ParkFull merged) in
-// tag-index order, then one synthetic ambient*ParkScale path — matching the
-// built-in stage's summation order for the tags that are full-simulated, so
-// a plan that names every tag reproduces the built-in stage bit for bit.
+// tag-index order, then one synthetic ambient*ParkScale path — so a plan
+// that names every tag reproduces the default TDMA bank bit for bit.
 type BankPlan struct {
 	// Owner is the index (into Session.Tags) of the tag that modulates
 	// payload this subframe; -1 leaves the subframe without a backscatter
 	// transmitter (an idle or analytically-resolved collision slot). The
 	// owner's symbol records land in Frame.Records exactly as under the
-	// built-in TDMA bank.
+	// default TDMA bank.
 	Owner int
 	// Interferers lists additional tags transmitting concurrently (capture
 	// losers under a contention MAC). They are full-simulated — their
@@ -27,7 +26,7 @@ type BankPlan struct {
 	// ParkFull lists parked tags that must still be simulated per sample
 	// because their Path does not reduce to one complex gain (multipath,
 	// fading). Tags listed here contribute Modulator.ParkedSubframe through
-	// their Path, exactly as under the built-in bank.
+	// their Path, exactly as under the default TDMA bank.
 	ParkFull []int
 	// ParkScale is the aggregate parked-echo coefficient of every remaining
 	// parked tag, computed in closed form by the bank (per-tag parked gain
@@ -37,21 +36,44 @@ type BankPlan struct {
 	ParkScale complex128
 }
 
-// TagBank replaces the Session's built-in TDMA tag stage with an external
-// scheduler (internal/fleet): instead of "Owner modulates, everyone else
-// parks per sample", the bank decides per subframe which tags transmit and
-// hands the engine a closed-form aggregate for the parked rest. That is what
-// turns the tag stage's cost from O(all tags) into O(transmitting tags):
-// the engine synthesizes waveforms only for the tags the plan names.
+// TagBank decides, per subframe, which of the Session's tags transmit and
+// which reflect their parked echo. Every Step plans through one: the default
+// TDMA bank (Session.Owner modulates, every other tag with Park set echoes
+// per sample) unless Session.Bank installs an external scheduler
+// (internal/fleet). A fleet bank hands the engine a closed-form aggregate
+// for the parked rest, which turns the tag stage's cost from O(all tags)
+// into O(transmitting tags): the engine synthesizes waveforms only for the
+// tags the plan names.
 //
-// PlanSubframe is called exactly once per subframe, in subframe order, on
-// the coordinating goroutine (also under RunParallel) — a bank may keep
-// per-tag state machines and draw from its own RNG streams and remains
-// deterministic. The returned index lists must be deterministic for a given
-// call sequence and must not alias bank-internal storage that later calls
-// mutate before the subframe is merged.
+// PlanSubframe is called exactly once per subframe, in subframe order — a
+// bank may keep per-tag state machines and draw from its own RNG streams
+// and remains deterministic. The returned index lists must be deterministic
+// for a given call sequence and must not alias bank-internal storage that
+// later calls mutate before the subframe is consumed.
 type TagBank interface {
 	PlanSubframe(n int, burst bool) BankPlan
+}
+
+// tdmaBank is the default TagBank: Session.Owner (tag 0 when nil) modulates
+// and every other tag with Park set contributes its parked echo per sample.
+type tdmaBank struct{ s *Session }
+
+// PlanSubframe implements TagBank.
+func (b tdmaBank) PlanSubframe(n int, _ bool) BankPlan {
+	pl := BankPlan{Owner: -1}
+	if len(b.s.Tags) == 0 {
+		return pl
+	}
+	pl.Owner = 0
+	if b.s.Owner != nil {
+		pl.Owner = b.s.Owner(n)
+	}
+	for i, t := range b.s.Tags {
+		if i != pl.Owner && t.Park {
+			pl.ParkFull = append(pl.ParkFull, i)
+		}
+	}
+	return pl
 }
 
 // ScalarGain reports whether stage s reduces to a single complex

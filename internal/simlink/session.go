@@ -1,9 +1,10 @@
 package simlink
 
 import (
+	"sort"
+
 	"lscatter/internal/channel"
 	"lscatter/internal/enodeb"
-	"lscatter/internal/fxp"
 	"lscatter/internal/impair"
 	"lscatter/internal/tag"
 	"lscatter/internal/ue"
@@ -66,13 +67,7 @@ type Frame struct {
 	// RX is the waveform at the receiver: all paths combined, noise and
 	// impairments applied, carrier tracking (if any) removed. With no
 	// channel.Link configured it aliases the ambient samples directly.
-	// Always populated, in both lanes.
 	RX []complex128
-	// RXFxp is the receiver waveform in Q1.15 form, populated only by
-	// fixed-point-lane sessions (and cleared when the carrier tracker — a
-	// float stage — rewrites RX). Sinks that know the fixed-point front end
-	// (DemodSink) consume it; everything else reads RX.
-	RXFxp *fxp.Buf
 	// Start is the absolute sample position of this subframe in the
 	// receiver's stream (the phase anchor for CFO correction and the
 	// scatter demodulator).
@@ -126,7 +121,8 @@ type Session struct {
 	Tags []*Tag
 	// Owner schedules TDMA ownership: it maps the session-relative subframe
 	// count to the index of the tag that modulates. Nil means tag 0 owns
-	// every subframe.
+	// every subframe. It must return an index into Tags, or -1 for no
+	// transmitter.
 	Owner func(n int) int
 	// Link is the receiver front end: it combines the arriving paths, adds
 	// thermal noise and applies the impairment pipeline. Nil short-circuits
@@ -142,13 +138,7 @@ type Session struct {
 	Sink Sink
 	// Taps optionally observe intermediate waveforms.
 	Taps Taps
-	// Lane selects the sample representation of the per-sample chain:
-	// LaneFloat (default) is the complex128 conformance reference,
-	// LaneFixedPoint runs tag reflection, paths, combine, noise and
-	// impairments on Q1.15 buffers (same RNG streams, same draw order). See
-	// docs/PERFORMANCE.md for when each lane is the right choice.
-	Lane Lane
-	// Bank, when set, replaces the built-in TDMA tag stage with an external
+	// Bank, when set, replaces the default TDMA bank with an external
 	// fleet scheduler: it decides per subframe which tags transmit (and are
 	// full-simulated) and hands the engine a closed-form coefficient for
 	// the parked rest, making the tag stage O(transmitting tags) instead of
@@ -159,32 +149,6 @@ type Session struct {
 
 	n     int
 	start int
-
-	// Cached pure/stateful path splits (see parallel.go). A Session's stage
-	// wiring is fixed after construction, so they are computed once on
-	// first Step/RunParallel.
-	prepared   bool
-	directPure PathStage
-	directRest PathStage
-	tagPure    []PathStage
-	tagRest    []PathStage
-}
-
-// prepare caches the parallel-safe/stateful split of the direct and per-tag
-// paths. Wiring (Direct, Tags and their Paths) must not change once the
-// session has started stepping — which the "single-stream sequential state"
-// contract already implies.
-func (s *Session) prepare() {
-	if s.prepared {
-		return
-	}
-	s.directPure, s.directRest = splitPath(s.Direct)
-	s.tagPure = make([]PathStage, len(s.Tags))
-	s.tagRest = make([]PathStage, len(s.Tags))
-	for i, t := range s.Tags {
-		s.tagPure[i], s.tagRest[i] = splitPath(t.Path)
-	}
-	s.prepared = true
 }
 
 // Subframes returns how many subframes the session has advanced.
@@ -193,17 +157,148 @@ func (s *Session) Subframes() int { return s.n }
 // StartSample returns the receiver stream position (see Frame.Start).
 func (s *Session) StartSample() int { return s.start }
 
+// contribKind says how one tag contribution of a subframe turns into a
+// propagation path.
+type contribKind uint8
+
+const (
+	// contribOwner is the scheduled transmitter: it modulates payload and
+	// its symbol records land on the Frame.
+	contribOwner contribKind = iota
+	// contribInterferer is an additional concurrent transmitter named by a
+	// TagBank (a capture loser): modulated per sample, records dropped.
+	contribInterferer
+	// contribParked is a per-sample parked-switch echo.
+	contribParked
+	// contribAggregate is the closed-form parked remainder: one
+	// ambient*scale path standing in for every analytically-advanced tag.
+	contribAggregate
+)
+
+// contrib is one tag's reflection within a subframe (or, for
+// contribAggregate, the whole parked remainder's).
+type contrib struct {
+	tagIdx int
+	kind   contribKind
+	scale  complex128 // contribAggregate only
+	plan   tag.Plan   // contribOwner / contribInterferer only
+	x      []complex128
+}
+
+// bank returns the installed TagBank, or the default TDMA bank over Owner
+// and each Tag's Park flag.
+func (s *Session) bank() TagBank {
+	if s.Bank != nil {
+		return s.Bank
+	}
+	return tdmaBank{s}
+}
+
+// planTag performs the stateful per-tag front half for one transmitting tag
+// — payload feed, per-burst jitter draw, modulation planning — and returns
+// its contribution. Owner records land on the Frame.
+func (s *Session) planTag(f *Frame, i int, kind contribKind) contrib {
+	t := s.Tags[i]
+	if t.Feed != nil {
+		t.Feed(f.N, t.Mod)
+	}
+	if t.Jitter != nil && f.Burst {
+		t.Mod.SetTimingError(t.base() + t.Jitter.Next())
+	}
+	pl := t.Mod.PlanSubframe(f.Subframe.Index, f.Burst)
+	if kind == contribOwner {
+		f.Records = pl.Records
+	}
+	return contrib{tagIdx: i, kind: kind, plan: pl}
+}
+
+// plan asks the bank who transmits this subframe and plans every named tag.
+// Per-tag contributions combine in tag-index order; the closed-form
+// aggregate, standing in for every remaining parked tag, sums last.
+func (s *Session) plan(f *Frame) []contrib {
+	bp := s.bank().PlanSubframe(f.N, f.Burst)
+	f.Owner = bp.Owner
+	var cs []contrib
+	if bp.Owner >= 0 {
+		cs = append(cs, s.planTag(f, bp.Owner, contribOwner))
+	}
+	for _, i := range bp.Interferers {
+		cs = append(cs, s.planTag(f, i, contribInterferer))
+	}
+	for _, i := range bp.ParkFull {
+		cs = append(cs, contrib{tagIdx: i, kind: contribParked})
+	}
+	sort.Slice(cs, func(a, b int) bool { return cs[a].tagIdx < cs[b].tagIdx })
+	if bp.ParkScale != 0 {
+		cs = append(cs, contrib{tagIdx: -1, kind: contribAggregate, scale: bp.ParkScale})
+	}
+	return cs
+}
+
 // Step advances the chain by one subframe and returns the consumed Frame.
-// Both lanes run the same three phases the subframe-parallel runner uses —
-// stateful planning, pure per-sample work, stateful merge (see parallel.go)
-// — so there is exactly one owner/park dispatch loop in the engine and the
-// sequential and parallel paths cannot drift apart.
+// The stages run in a fixed order: source, tag plan, reflections, the
+// Ambient tap, the direct path, then per contribution in tag-index order
+// the Reflected tap and that tag's path, the receiver, the tracker, the
+// Sink, and the stream-position advance.
 func (s *Session) Step() *Frame {
-	s.prepare()
-	j := s.planJob()
-	s.workJob(j, s.directPure, s.tagPure)
-	s.mergeJob(j, s.directRest, s.tagRest)
-	return j.f
+	sf := s.Source.NextSubframe()
+	f := &Frame{
+		N:        s.n,
+		Subframe: sf,
+		Burst:    IsBurstSubframe(sf.Index),
+		Start:    s.start,
+	}
+	s.n++
+	amb := sf.Samples
+	cs := s.plan(f)
+	for k := range cs {
+		c := &cs[k]
+		switch c.kind {
+		case contribAggregate:
+			c.x = gainStage{g: c.scale}.Apply(amb)
+		case contribParked:
+			c.x = s.Tags[c.tagIdx].Mod.ParkedSubframe(amb)
+		default:
+			c.x = s.Tags[c.tagIdx].Mod.ApplyPlan(amb, c.plan)
+		}
+	}
+	if s.Taps.Ambient != nil {
+		s.Taps.Ambient(f, amb)
+	}
+
+	paths := make([][]complex128, 0, len(cs)+1)
+	if s.Direct != nil {
+		paths = append(paths, s.Direct.Apply(amb))
+	}
+	for _, c := range cs {
+		if c.kind == contribAggregate {
+			// The analytic parked remainder belongs to no single tag: its
+			// path gains are already folded into the scale, and the
+			// per-tag Reflected tap does not see it.
+			paths = append(paths, c.x)
+			continue
+		}
+		if s.Taps.Reflected != nil {
+			s.Taps.Reflected(f, c.tagIdx, c.x)
+		}
+		x := c.x
+		if p := s.Tags[c.tagIdx].Path; p != nil {
+			x = p.Apply(x)
+		}
+		paths = append(paths, x)
+	}
+
+	f.RX = amb
+	if s.Link != nil {
+		f.RX = s.Link.Receive(paths...)
+	}
+	if s.Tracker != nil {
+		f.RX, f.Reacquired = s.Tracker.Process(f.RX, f.Start)
+	}
+	if s.Sink == nil || s.Sink.Consume(f) {
+		s.start += len(amb)
+	}
+	return f
 }
 
 // Run advances the chain n subframes.

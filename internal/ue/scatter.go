@@ -346,13 +346,7 @@ func (d *ScatterDemod) windowStartUnitInSymbol() int {
 // refSamples is the regenerated clean excitation from the LTE receiver.
 func (d *ScatterDemod) AcquireBurst(rx, refSamples []complex128, subframe, startSample int) *ScatterResult {
 	d.checkInputs(rx, refSamples, subframe)
-	return d.acquireBurstZ(d.downshift(rx, startSample), refSamples, subframe)
-}
-
-// acquireBurstZ is the lane-independent core of AcquireBurst, operating on
-// the already-downshifted subframe z (both the float and fixed-point entry
-// points land here).
-func (d *ScatterDemod) acquireBurstZ(z, refSamples []complex128, subframe int) *ScatterResult {
+	z := d.downshift(rx, startSample)
 	p := d.cfg.Params
 	syms := modulatedSymbols(subframe)
 	preSym := syms[0]
@@ -494,12 +488,7 @@ func (d *ScatterDemod) DemodSubframe(rx, refSamples []complex128, subframe, star
 		return &ScatterResult{Synced: false, OffsetUnits: d.offset}
 	}
 	d.checkInputs(rx, refSamples, subframe)
-	return d.demodSubframeZ(d.downshift(rx, startSample), refSamples, subframe, skipFirst)
-}
-
-// demodSubframeZ is the lane-independent core of DemodSubframe (the caller
-// has checked sync and inputs and performed the downshift).
-func (d *ScatterDemod) demodSubframeZ(z, refSamples []complex128, subframe int, skipFirst bool) *ScatterResult {
+	z := d.downshift(rx, startSample)
 	res := &ScatterResult{Synced: d.haveSync, OffsetUnits: d.offset}
 	p := d.cfg.Params
 	nBits := p.UsefulModulationUnits()

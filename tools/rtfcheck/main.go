@@ -1,6 +1,6 @@
 // Command rtfcheck gates the transport real-time factor against a recorded
 // baseline. It reads the "rtf" object of a lscatter-bench -metrics report
-// (normally BENCH_R2.json), re-measures the fixed-point streamer at the
+// (normally BENCH_R3.json), re-measures the fixed-point streamer at the
 // baseline's bandwidth on one goroutine, and exits nonzero when the fresh
 // measurement falls more than the allowed percentage below the recorded
 // headline — the regression gate behind `make rtf-check`. The absolute

@@ -9,7 +9,7 @@
 //	lscatter-bench -all -artifact-dir DIR [-resume]
 //	lscatter-bench -all -shard-workers http://127.0.0.1:9301,http://127.0.0.1:9302
 //	lscatter-bench -impair [-seed 7] [-metrics out.json]
-//	lscatter-bench -rtf [-rtf-subframes 2000] [-metrics out.json]
+//	lscatter-bench -rtf [-metrics out.json]
 //
 // With -all, artifacts run on a worker pool (-parallel N; 0 selects NumCPU,
 // 1 — the default — is sequential). The output is deterministic: each
@@ -25,12 +25,12 @@
 // Every executor prints byte-identical tables — the checkpoint/restore
 // summary goes to stderr. See docs/DISTRIBUTED.md.
 //
-// -rtf measures the real-time factor of the transport pipeline at 20 MHz on
-// one goroutine (fixed-point streamer headline plus the full Session)
-// and prints the result; it composes with -all and -metrics, in which case
-// the measurement lands in the report's "rtf" object. The methodology and
-// the recorded targets live in docs/PERFORMANCE.md; `make rtf-check` gates
-// regressions against BENCH_R2.json.
+// -rtf measures the float Session's real-time factor at 20 MHz on one
+// goroutine — simulated seconds per wall-clock second for the full chain
+// (source generation, tag modulation, paths, combine, noise) — and prints
+// it; it composes with -all and -metrics, in which case the measurement
+// lands in the report's "rtf" object. The methodology and the recorded
+// trajectory live in docs/PERFORMANCE.md.
 //
 // -impair is shorthand for the link-resilience sweep (-id R1): the exact
 // chain run through the off/mild/moderate/severe fault-injection ladder,
@@ -58,12 +58,6 @@ import (
 	"lscatter/internal/store"
 )
 
-// writeMetrics serializes the run report to path, atomically — a crash
-// mid-write leaves either the previous complete report or the new one.
-func writeMetrics(path string, rep *experiments.Report) error {
-	return rep.WriteFile(path)
-}
-
 // usageError prints a flag-validation failure plus usage and exits 2.
 func usageError(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "lscatter-bench: "+format+"\n", args...)
@@ -83,9 +77,8 @@ func main() {
 		artifactDir  = flag.String("artifact-dir", "", "checkpoint -all artifacts into this durable store")
 		resume       = flag.Bool("resume", false, "restore already-checkpointed artifacts from -artifact-dir")
 		shardWorkers = flag.String("shard-workers", "", "comma-separated lscatter-worker base URLs for -all")
-		impaired = flag.Bool("impair", false, "run the link-resilience sweep (shorthand for -id R1)")
-		rtf      = flag.Bool("rtf", false, "measure the transport real-time factor at 20 MHz")
-		rtfSF    = flag.Int("rtf-subframes", 0, "timed subframes for -rtf (0 = default 2000)")
+		impaired     = flag.Bool("impair", false, "run the link-resilience sweep (shorthand for -id R1)")
+		rtf          = flag.Bool("rtf", false, "measure the Session real-time factor at 20 MHz")
 
 		fleetRun     = flag.Bool("fleet", false, "run the event-driven fleet engine standalone")
 		fleetTags    = flag.Int("fleet-tags", 1_000_000, "fleet size for -fleet")
@@ -110,7 +103,7 @@ func main() {
 	// runRTF performs the real-time-factor measurement (after any artifact
 	// regeneration, so the timed loop runs on a quiet process).
 	runRTF := func() *experiments.RTFReport {
-		rep := experiments.RunRTF(experiments.RTFConfig{Subframes: *rtfSF, Seed: *seed})
+		rep := experiments.RunRTF(*seed)
 		fmt.Println(rep.Render())
 		return rep
 	}
@@ -206,7 +199,7 @@ func main() {
 		if *metrics != "" {
 			rep := experiments.BuildReport(*seed, *parallel, wall, results)
 			rep.RTF = rtfRep
-			if err := writeMetrics(*metrics, rep); err != nil {
+			if err := rep.WriteFile(*metrics); err != nil {
 				fmt.Fprintf(os.Stderr, "writing metrics: %v\n", err)
 				os.Exit(1)
 			}
@@ -221,7 +214,7 @@ func main() {
 		fmt.Println(res.Render())
 		if *metrics != "" {
 			rep := experiments.BuildReport(*seed, 1, time.Since(start), []*experiments.Result{res})
-			if err := writeMetrics(*metrics, rep); err != nil {
+			if err := rep.WriteFile(*metrics); err != nil {
 				fmt.Fprintf(os.Stderr, "writing metrics: %v\n", err)
 				os.Exit(1)
 			}
@@ -232,7 +225,7 @@ func main() {
 		rep.RTF = runRTF()
 		rep.WallSeconds = time.Since(start).Seconds()
 		if *metrics != "" {
-			if err := writeMetrics(*metrics, rep); err != nil {
+			if err := rep.WriteFile(*metrics); err != nil {
 				fmt.Fprintf(os.Stderr, "writing metrics: %v\n", err)
 				os.Exit(1)
 			}

@@ -109,8 +109,8 @@ type Correlator struct {
 	m     int
 	ref   []complex128 // private copy, for the direct fallback
 	refE  float64
-	block int          // overlap-save FFT size L (power of two)
-	step  int          // valid output lags per block, V = L-M+1
+	block int // overlap-save FFT size L (power of two)
+	step  int // valid output lags per block, V = L-M+1
 	plan  *Plan
 	spec  []complex128 // conj(FFT_L(ref zero-padded to L))
 }

@@ -41,12 +41,6 @@
 // The stage taps (Taps) expose intermediate waveforms — the ambient
 // excitation, each tag's raw reflection — without perturbing the chain;
 // cmd/lscatter-iq and the interference-PSD experiment are tap consumers.
-//
-// The Streamer (stream.go) is a separate engine for the fixed-gain
-// transport core: it precomputes per-unit Q1.15 composite words
-// (internal/fxp) so the steady-state loop is a select-and-add per four
-// samples; it is the engine behind the real-time-factor numbers in
-// docs/PERFORMANCE.md.
 package simlink
 
 import (

@@ -93,14 +93,14 @@ type SyncCircuit struct {
 	env       *dsp.RC
 	avg       *dsp.RC
 	comp      *dsp.Comparator
-	firs      []*dsp.FIR // cascade anti-alias filters (streaming)
-	phase     []int      // per-stage decimation phase counters
-	state     bool       // last comparator output (for edge detect)
-	samplesIn int        // total oversampled samples consumed
-	warmup    int        // decimated samples to ignore while averaging settles
-	seen      int        // decimated samples processed
-	holdoff   int        // decimated samples to suppress re-triggering
-	lastDet   int        // seen-counter at the last detection
+	firs      []*dsp.FIR  // cascade anti-alias filters (streaming)
+	phase     []int       // per-stage decimation phase counters
+	state     bool        // last comparator output (for edge detect)
+	samplesIn int         // total oversampled samples consumed
+	warmup    int         // decimated samples to ignore while averaging settles
+	seen      int         // decimated samples processed
+	holdoff   int         // decimated samples to suppress re-triggering
+	lastDet   int         // seen-counter at the last detection
 	jitter    *rng.Source // detection-instant jitter (nil when disabled)
 	trace     *SyncTrace
 }

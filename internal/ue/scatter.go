@@ -84,10 +84,10 @@ type ScatterDemod struct {
 	chanEst  []complex128 // per-bin equalizer over clean bins (length n)
 	cleanBin []bool       // usable hybrid observation bins
 	// precomputed state (read-only after construction)
-	wave    []complex128         // downshifted phase-0 switch waveform per unit
-	kTime   []complex128         // IFFT of the clean-bin indicator (projection kernel)
-	preBank *dsp.CorrelatorBank  // preamble sign sequences, one per configured tag
-	tagIDs  []int                // resolved tag list (defaults to {0})
+	wave    []complex128        // downshifted phase-0 switch waveform per unit
+	kTime   []complex128        // IFFT of the clean-bin indicator (projection kernel)
+	preBank *dsp.CorrelatorBank // preamble sign sequences, one per configured tag
+	tagIDs  []int               // resolved tag list (defaults to {0})
 	// scratch (reused across calls; never escapes)
 	scrZ       []complex128 // downshifted subframe
 	scrHyb     []complex128

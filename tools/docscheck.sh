@@ -1,5 +1,5 @@
 #!/bin/sh
-# docscheck.sh verifies two invariants of the documentation tree:
+# docscheck.sh verifies three invariants of the documentation tree:
 #
 #   1. Every Go package in the module carries a package doc comment: at least
 #      one file per package must open with a "// Package <x>" (libraries) or
@@ -9,6 +9,11 @@
 #      page the README reaches, transitively (the repo's docs reference each
 #      other by path, in prose or links). An orphaned page is documentation
 #      nobody will find.
+#   3. Every make target the docs tell a reader to run exists: each
+#      "`make <target>`" code span and each "make <target>" line inside a
+#      fenced code block in README.md, docs/*.md and the verify skill notes
+#      (.claude/skills/verify/SKILL.md) must name a target the Makefile
+#      defines.
 #
 # Usage: sh tools/docscheck.sh   (or: make docs-check)
 set -eu
@@ -79,3 +84,49 @@ if [ -n "$orphans" ]; then
 fi
 
 echo "docscheck: OK — every docs/*.md page is reachable from README.md"
+
+# --- make targets named by the docs -------------------------------------
+# Makefile rules are lines "<target>:" (not ":=" assignments). In a doc
+# page, the target is the first word after "make" that is not a VAR=value
+# override; a bare "make" names the default goal and is not checked.
+targets=" $(sed -n 's/^\([A-Za-z0-9_-][A-Za-z0-9_.-]*\):\([^=].*\)\{0,1\}$/\1/p' Makefile | tr '\n' ' ')"
+docs="README.md docs/*.md"
+[ -f .claude/skills/verify/SKILL.md ] && docs="$docs .claude/skills/verify/SKILL.md"
+missing=$(
+    # shellcheck disable=SC2086 # $docs is a word list with a glob.
+    awk '
+        function target(cmd,    n, w, i, seen) {
+            n = split(cmd, w, /[ \t]+/)
+            for (i = 1; i <= n; i++) {
+                if (!seen) { seen = (w[i] == "make"); continue }
+                if (w[i] !~ /=/) return w[i]
+            }
+            return ""
+        }
+        FNR == 1 { fence = 0 }
+        /^[ \t]*```/ { fence = !fence; next }
+        {
+            line = $0
+            while (match(line, /`make[ \t][^`]*`/)) {
+                t = target(substr(line, RSTART + 1, RLENGTH - 2))
+                if (t != "") print FILENAME ":" FNR ": make " t "\t" t
+                line = substr(line, RSTART + RLENGTH)
+            }
+            if (fence && $1 == "make") {
+                t = target($0)
+                if (t != "") print FILENAME ":" FNR ": make " t "\t" t
+            }
+        }' $docs |
+    while IFS="$(printf '\t')" read -r where t; do
+        case "$targets" in *" $t "*) ;; *) echo "$where" ;; esac
+    done
+)
+
+if [ -n "$missing" ]; then
+    echo "docscheck: docs name make targets the Makefile does not define:" >&2
+    echo "$missing" | sed 's/^/  /' >&2
+    echo "docscheck: FAILED — fix the command in the doc or add the target" >&2
+    exit 1
+fi
+
+echo "docscheck: OK — every make target the docs name exists"

@@ -213,7 +213,7 @@ func BenchmarkExactChainSubframe5MHz(b *testing.B) {
 
 // BenchmarkPipelineExact measures the staged simlink engine end to end: a
 // four-subframe exact-mode session (the golden-vector configuration) per
-// iteration, covering Session stepping, the tag bank, the two-hop channel,
+// iteration, covering Session stepping, the tag stage, the two-hop channel,
 // the Link combine and the demod sink's bit accounting. Its allocation count
 // is the canary for pipeline-layer regressions under `make bench-compare`.
 func BenchmarkPipelineExact(b *testing.B) {

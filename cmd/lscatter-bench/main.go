@@ -65,6 +65,21 @@ func usageError(format string, args ...any) {
 	os.Exit(2)
 }
 
+// validateFleetFlags checks the -fleet options: a fleet size the engine
+// supports, a positive finite horizon and a finite non-negative load.
+func validateFleetFlags(tags int, minutes, load float64) error {
+	if tags < 1 || tags > fleet.MaxTags {
+		return fmt.Errorf("-fleet-tags must be in [1, %d], got %d", fleet.MaxTags, tags)
+	}
+	if math.IsNaN(minutes) || math.IsInf(minutes, 0) || minutes <= 0 {
+		return fmt.Errorf("-fleet-minutes must be finite and > 0, got %v", minutes)
+	}
+	if math.IsNaN(load) || math.IsInf(load, 0) || load < 0 {
+		return fmt.Errorf("-fleet-load must be finite and >= 0, got %v", load)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		id       = flag.String("id", "", "artifact to regenerate (e.g. T1, F4c, F16, F23, F32, P48)")
@@ -98,6 +113,11 @@ func main() {
 	}
 	if (*artifactDir != "" || *resume || *shardWorkers != "") && !*all {
 		usageError("-artifact-dir, -resume and -shard-workers apply only to -all")
+	}
+	if *fleetRun {
+		if err := validateFleetFlags(*fleetTags, *fleetMinutes, *fleetLoad); err != nil {
+			usageError("%v", err)
+		}
 	}
 
 	// runRTF performs the real-time-factor measurement (after any artifact

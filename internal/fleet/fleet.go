@@ -1,24 +1,13 @@
 // Package fleet is the event-driven million-tag fleet engine: it schedules
-// large tag populations in O(active) work per slot instead of O(all tags) per
-// sample.
+// large tag populations in O(events) work instead of O(all tags) per sample.
 //
-// The package has two faces over one scheduler core:
-//
-//   - Bank (exact mode) implements simlink.TagBank: it plugs into a
-//     simlink.Session and full-simulates only the tags that transmit in a
-//     slot, advancing every parked tag analytically through a closed-form
-//     aggregate echo coefficient. The waveform cost of a subframe becomes
-//     O(transmitting tags * samples) while the fleet bookkeeping is
-//     O(events).
-//   - Simulate (semi-analytic mode) runs the same MACs with no waveforms at
-//     all: per-slot delivery resolves through the link budget and
-//     stats.BERFromSNR. This is what makes a 10^6-tag city-scale run finish
-//     on one machine.
-//
-// Both faces share the contention MACs (TDMA rotation, slotted ALOHA with
-// and without capture-effect arbitration) and the packed event queue, so the
-// exact and semi-analytic engines cannot drift apart on scheduling behavior.
-// See docs/FLEET.md for the design.
+// Simulate (and the reusable Sim) runs the contention MACs (TDMA rotation,
+// slotted ALOHA with and without capture-effect arbitration) over a packed
+// event queue with no waveforms at all: per-slot delivery resolves through
+// the link budget and stats.BERFromSNR. This is what makes a 10^6-tag
+// city-scale run finish on one machine. The waveform-level multi-tag chain
+// is simlink.Session's TDMA owner/park tag stage; see docs/FLEET.md for the
+// design.
 package fleet
 
 import "fmt"
@@ -67,9 +56,8 @@ func ParseMAC(s string) (MAC, error) {
 	return 0, fmt.Errorf("fleet: unknown MAC %q (want tdma, aloha or capture)", s)
 }
 
-// Config holds the scheduling parameters shared by the exact-mode Bank and
-// the semi-analytic Simulate engine. The zero value selects TDMA with the
-// defaults below.
+// Config holds the MAC scheduling parameters of the Simulate engine. The
+// zero value selects TDMA with the defaults below.
 type Config struct {
 	// MAC is the access discipline.
 	MAC MAC

@@ -17,6 +17,10 @@ import (
 // bits of slot index cover ~1,100 years of 5 ms slots.
 const tagBits = 21
 
+// MaxTags is the largest fleet the engine supports: the widest tag index a
+// packed event can carry.
+const MaxTags = 1<<tagBits - 1
+
 // eventTagMask extracts the tag index from a packed event.
 const eventTagMask = 1<<tagBits - 1
 
@@ -71,9 +75,9 @@ func (h *eventHeap) pop() uint64 {
 	return top
 }
 
-// sched is the per-tag state machine core shared by the exact-mode Bank and
-// the semi-analytic engine: message queues, backoff windows, and the event
-// queue that decides which tags contend in which slot.
+// sched is the per-tag state machine core of the semi-analytic engine:
+// message queues, backoff windows, and the event queue that decides which
+// tags contend in which slot.
 type sched struct {
 	cfg  Config
 	n    int32
@@ -101,7 +105,7 @@ type sched struct {
 	// contenders is the scratch list of tags eligible in the current slot.
 	contenders []int32
 
-	// Counters surfaced by both engines.
+	// Counters surfaced in the Sim's Report.
 	events  int64 // heap events processed
 	dropped int64 // arrivals rejected by a full queue
 }

@@ -110,8 +110,8 @@ func NewSim(cfg SimConfig) *Sim {
 	if cfg.Tags <= 0 {
 		panic("fleet: Sim needs at least one tag")
 	}
-	if cfg.Tags >= 1<<tagBits {
-		panic(fmt.Sprintf("fleet: Sim supports up to %d tags, got %d", 1<<tagBits-1, cfg.Tags))
+	if cfg.Tags > MaxTags {
+		panic(fmt.Sprintf("fleet: Sim supports up to %d tags, got %d", MaxTags, cfg.Tags))
 	}
 	root := rng.New(cfg.Seed)
 	return &Sim{cfg: cfg, root: root, s: newSched(cfg.Tags, cfg.Config, nil)}

@@ -1,7 +1,7 @@
 package simlink
 
 import (
-	"sort"
+	"fmt"
 
 	"lscatter/internal/channel"
 	"lscatter/internal/enodeb"
@@ -59,10 +59,11 @@ type Frame struct {
 	// Burst reports whether this subframe opens a backscatter burst.
 	Burst bool
 	// Owner is the index (into Session.Tags) of the tag scheduled to
-	// modulate this subframe; -1 when the session has no tags.
+	// modulate this subframe; -1 when the session has no tags or Owner
+	// scheduled no transmitter.
 	Owner int
 	// Records lists what the owning tag embedded into each OFDM symbol
-	// (nil when the session has no tags).
+	// (nil when no tag owns the subframe).
 	Records []tag.SymbolRecord
 	// RX is the waveform at the receiver: all paths combined, noise and
 	// impairments applied, carrier tracking (if any) removed. With no
@@ -122,7 +123,7 @@ type Session struct {
 	// Owner schedules TDMA ownership: it maps the session-relative subframe
 	// count to the index of the tag that modulates. Nil means tag 0 owns
 	// every subframe. It must return an index into Tags, or -1 for no
-	// transmitter.
+	// transmitter; Step panics on any other value.
 	Owner func(n int) int
 	// Link is the receiver front end: it combines the arriving paths, adds
 	// thermal noise and applies the impairment pipeline. Nil short-circuits
@@ -138,14 +139,6 @@ type Session struct {
 	Sink Sink
 	// Taps optionally observe intermediate waveforms.
 	Taps Taps
-	// Bank, when set, replaces the default TDMA bank with an external
-	// fleet scheduler: it decides per subframe which tags transmit (and are
-	// full-simulated) and hands the engine a closed-form coefficient for
-	// the parked rest, making the tag stage O(transmitting tags) instead of
-	// O(all tags). Owner and each Tag's Park flag are ignored while a Bank
-	// is installed. internal/fleet provides the implementation; see
-	// docs/FLEET.md.
-	Bank TagBank
 
 	n     int
 	start int
@@ -157,89 +150,54 @@ func (s *Session) Subframes() int { return s.n }
 // StartSample returns the receiver stream position (see Frame.Start).
 func (s *Session) StartSample() int { return s.start }
 
-// contribKind says how one tag contribution of a subframe turns into a
-// propagation path.
-type contribKind uint8
-
-const (
-	// contribOwner is the scheduled transmitter: it modulates payload and
-	// its symbol records land on the Frame.
-	contribOwner contribKind = iota
-	// contribInterferer is an additional concurrent transmitter named by a
-	// TagBank (a capture loser): modulated per sample, records dropped.
-	contribInterferer
-	// contribParked is a per-sample parked-switch echo.
-	contribParked
-	// contribAggregate is the closed-form parked remainder: one
-	// ambient*scale path standing in for every analytically-advanced tag.
-	contribAggregate
-)
-
-// contrib is one tag's reflection within a subframe (or, for
-// contribAggregate, the whole parked remainder's).
+// contrib is one tag's raw reflection within a subframe.
 type contrib struct {
 	tagIdx int
-	kind   contribKind
-	scale  complex128 // contribAggregate only
-	plan   tag.Plan   // contribOwner / contribInterferer only
 	x      []complex128
 }
 
-// bank returns the installed TagBank, or the default TDMA bank over Owner
-// and each Tag's Park flag.
-func (s *Session) bank() TagBank {
-	if s.Bank != nil {
-		return s.Bank
+// plan runs the tag stage for one subframe in tag-index order: the owner
+// (Session.Owner, tag 0 when nil) is fed, jittered and modulated, and every
+// other tag with Park set contributes its parked echo. The owner's symbol
+// records land on the Frame.
+func (s *Session) plan(f *Frame, amb []complex128) []contrib {
+	f.Owner = -1
+	if len(s.Tags) == 0 {
+		return nil
 	}
-	return tdmaBank{s}
-}
-
-// planTag performs the stateful per-tag front half for one transmitting tag
-// — payload feed, per-burst jitter draw, modulation planning — and returns
-// its contribution. Owner records land on the Frame.
-func (s *Session) planTag(f *Frame, i int, kind contribKind) contrib {
-	t := s.Tags[i]
-	if t.Feed != nil {
-		t.Feed(f.N, t.Mod)
+	f.Owner = 0
+	if s.Owner != nil {
+		f.Owner = s.Owner(f.N)
+		if f.Owner < -1 || f.Owner >= len(s.Tags) {
+			panic(fmt.Sprintf("simlink: Owner(%d) = %d, want -1 or an index into the %d tags", f.N, f.Owner, len(s.Tags)))
+		}
 	}
-	if t.Jitter != nil && f.Burst {
-		t.Mod.SetTimingError(t.base() + t.Jitter.Next())
-	}
-	pl := t.Mod.PlanSubframe(f.Subframe.Index, f.Burst)
-	if kind == contribOwner {
-		f.Records = pl.Records
-	}
-	return contrib{tagIdx: i, kind: kind, plan: pl}
-}
-
-// plan asks the bank who transmits this subframe and plans every named tag.
-// Per-tag contributions combine in tag-index order; the closed-form
-// aggregate, standing in for every remaining parked tag, sums last.
-func (s *Session) plan(f *Frame) []contrib {
-	bp := s.bank().PlanSubframe(f.N, f.Burst)
-	f.Owner = bp.Owner
-	var cs []contrib
-	if bp.Owner >= 0 {
-		cs = append(cs, s.planTag(f, bp.Owner, contribOwner))
-	}
-	for _, i := range bp.Interferers {
-		cs = append(cs, s.planTag(f, i, contribInterferer))
-	}
-	for _, i := range bp.ParkFull {
-		cs = append(cs, contrib{tagIdx: i, kind: contribParked})
-	}
-	sort.Slice(cs, func(a, b int) bool { return cs[a].tagIdx < cs[b].tagIdx })
-	if bp.ParkScale != 0 {
-		cs = append(cs, contrib{tagIdx: -1, kind: contribAggregate, scale: bp.ParkScale})
+	cs := make([]contrib, 0, len(s.Tags))
+	for i, t := range s.Tags {
+		switch {
+		case i == f.Owner:
+			if t.Feed != nil {
+				t.Feed(f.N, t.Mod)
+			}
+			if t.Jitter != nil && f.Burst {
+				t.Mod.SetTimingError(t.base() + t.Jitter.Next())
+			}
+			var x []complex128
+			x, f.Records = t.Mod.ModulateSubframe(amb, f.Subframe.Index, f.Burst)
+			cs = append(cs, contrib{tagIdx: i, x: x})
+		case t.Park:
+			cs = append(cs, contrib{tagIdx: i, x: t.Mod.ParkedSubframe(amb)})
+		}
 	}
 	return cs
 }
 
 // Step advances the chain by one subframe and returns the consumed Frame.
-// The stages run in a fixed order: source, tag plan, reflections, the
-// Ambient tap, the direct path, then per contribution in tag-index order
-// the Reflected tap and that tag's path, the receiver, the tracker, the
-// Sink, and the stream-position advance.
+// The stages run in a fixed order: source, the tag stage (owner modulation
+// and parked echoes, in tag-index order), the Ambient tap, the direct path,
+// then per reflection in tag-index order the Reflected tap and that tag's
+// path, the receiver, the tracker, the Sink, and the stream-position
+// advance.
 func (s *Session) Step() *Frame {
 	sf := s.Source.NextSubframe()
 	f := &Frame{
@@ -250,18 +208,7 @@ func (s *Session) Step() *Frame {
 	}
 	s.n++
 	amb := sf.Samples
-	cs := s.plan(f)
-	for k := range cs {
-		c := &cs[k]
-		switch c.kind {
-		case contribAggregate:
-			c.x = gainStage{g: c.scale}.Apply(amb)
-		case contribParked:
-			c.x = s.Tags[c.tagIdx].Mod.ParkedSubframe(amb)
-		default:
-			c.x = s.Tags[c.tagIdx].Mod.ApplyPlan(amb, c.plan)
-		}
-	}
+	cs := s.plan(f, amb)
 	if s.Taps.Ambient != nil {
 		s.Taps.Ambient(f, amb)
 	}
@@ -271,13 +218,6 @@ func (s *Session) Step() *Frame {
 		paths = append(paths, s.Direct.Apply(amb))
 	}
 	for _, c := range cs {
-		if c.kind == contribAggregate {
-			// The analytic parked remainder belongs to no single tag: its
-			// path gains are already folded into the scale, and the
-			// per-tag Reflected tap does not see it.
-			paths = append(paths, c.x)
-			continue
-		}
 		if s.Taps.Reflected != nil {
 			s.Taps.Reflected(f, c.tagIdx, c.x)
 		}

@@ -34,9 +34,8 @@
 //   - Multi-tag TDMA as a first-class concept. A Session owns N Tags and an
 //     ownership schedule; the scheduled tag modulates, the others park their
 //     switch (tag.Modulator.ParkedSubframe), exactly the §6 spectrum-sharing
-//     extension. Every subframe is planned through a TagBank: the default
-//     TDMA bank reads Session.Owner and Tag.Park, and Session.Bank swaps in
-//     an external fleet scheduler (internal/fleet).
+//     extension: Session.Owner picks the transmitter and Tag.Park says
+//     which of the others echo.
 //
 // The stage taps (Taps) expose intermediate waveforms — the ambient
 // excitation, each tag's raw reflection — without perturbing the chain;

@@ -1,7 +1,9 @@
 package simlink
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -121,6 +123,45 @@ func TestSessionOwnershipAndPark(t *testing.T) {
 	// 2 subframes it owns.
 	if reflections[0] != 4 || reflections[1] != 2 {
 		t.Fatalf("reflection counts %v, want tag0=4 tag1=2", reflections)
+	}
+}
+
+// TestSessionOwnerOutOfRangePanics pins Session.Owner's range contract: -1
+// schedules no transmitter (the parked tags still echo), and any other
+// index outside Tags panics with a message naming it and the tag count.
+func TestSessionOwnerOutOfRangePanics(t *testing.T) {
+	cfg := enodeb.DefaultConfig(ltephy.BW1_4)
+	newSession := func(owner int) *Session {
+		p := cfg.Params
+		return &Session{
+			Source: enodeb.New(cfg),
+			Tags: []*Tag{
+				{Mod: tag.NewModulator(tag.ModConfig{Params: p, ID: 1}), Park: true},
+				{Mod: tag.NewModulator(tag.ModConfig{Params: p, ID: 2}), Park: true},
+			},
+			Owner: func(int) int { return owner },
+		}
+	}
+
+	reflected := 0
+	idle := newSession(-1)
+	idle.Taps.Reflected = func(*Frame, int, []complex128) { reflected++ }
+	if f := idle.Step(); f.Owner != -1 || f.Records != nil || reflected != 2 {
+		t.Fatalf("owner -1: frame owner %d, %d records, %d reflections; want -1, none, 2 parked echoes",
+			f.Owner, len(f.Records), reflected)
+	}
+
+	for _, owner := range []int{2, 7, -2} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				want := fmt.Sprintf("Owner(0) = %d, want -1 or an index into the 2 tags", owner)
+				if !strings.Contains(msg, want) {
+					t.Errorf("owner %d: panic %q, want one containing %q", owner, msg, want)
+				}
+			}()
+			newSession(owner).Step()
+		}()
 	}
 }
 

@@ -130,15 +130,6 @@ func (m *Modulator) SentBits() int { return m.sent }
 // relative to the switching state.
 const parkLossDB = 10
 
-// ParkedGain returns the amplitude coefficient of the parked-switch echo:
-// ParkedSubframe multiplies the ambient waveform by exactly this value. A
-// fleet-scale scheduler sums these coefficients (times each tag's scalar
-// path gain) to advance thousands of parked tags in closed form instead of
-// per sample.
-func (m *Modulator) ParkedGain() float64 {
-	return math.Sqrt(dsp.FromDB(-m.cfg.ReflectionLossDB - parkLossDB))
-}
-
 // ParkedSubframe models a tag that is not scheduled in this TDMA slot: the
 // switch is parked (no square-wave toggling), so the reflection is a weak
 // static in-band echo — indistinguishable from environmental clutter and,
@@ -146,7 +137,7 @@ func (m *Modulator) ParkedGain() float64 {
 // be transmitting.
 func (m *Modulator) ParkedSubframe(ambient []complex128) []complex128 {
 	out := make([]complex128, len(ambient))
-	amp := complex(m.ParkedGain(), 0)
+	amp := complex(math.Sqrt(dsp.FromDB(-m.cfg.ReflectionLossDB-parkLossDB)), 0)
 	for i, v := range ambient {
 		out[i] = v * amp
 	}
@@ -178,27 +169,23 @@ func windowStartUnit(p ltephy.Params, l int) int {
 	return cp + (useful-p.UsefulModulationUnits())/2
 }
 
-// Plan is one subframe's modulation schedule, captured before the waveform
-// is touched: the per-unit switch phase, the symbol records, and the timing
-// shift in effect at planning time. Planning consumes payload bits and
-// mutates modulator state; waveform application (ApplyPlan) is a pure
-// function of ambient + Plan, which is what lets a simlink.TagBank plan a
-// subframe before the Session touches any waveform.
-type Plan struct {
-	// Phase is the per-unit switch phase in the tag's local clock:
+// modPlan is one subframe's modulation schedule: the per-unit switch phase,
+// the symbol records, and the timing shift in effect at planning time.
+type modPlan struct {
+	// phase is the per-unit switch phase in the tag's local clock:
 	// false = 0, true = pi.
-	Phase []bool
-	// Records lists what each modulated symbol carried.
-	Records []SymbolRecord
-	// Shift is the waveform shift in oversampled samples
-	// (TimingErrorUnits*Oversample + SampleOffset) captured at plan time.
-	Shift int
+	phase []bool
+	// records lists what each modulated symbol carried.
+	records []SymbolRecord
+	// shift is the waveform shift in oversampled samples
+	// (TimingErrorUnits*Oversample + SampleOffset).
+	shift int
 }
 
-// PlanSubframe builds the modulation schedule for one subframe, consuming
-// payload bits from the queue exactly as ModulateSubframe would. startBurst
-// begins a new burst: the first modulated symbol carries the preamble.
-func (m *Modulator) PlanSubframe(subframe int, startBurst bool) Plan {
+// planSubframe builds the modulation schedule for one subframe, consuming
+// payload bits from the queue. startBurst begins a new burst: the first
+// modulated symbol carries the preamble.
+func (m *Modulator) planSubframe(subframe int, startBurst bool) modPlan {
 	p := m.cfg.Params
 	ov := p.Oversample
 	// Build the per-unit phase schedule for the whole subframe in the tag's
@@ -235,27 +222,22 @@ func (m *Modulator) PlanSubframe(subframe int, startBurst bool) Plan {
 		}
 		records = append(records, SymbolRecord{Symbol: l, Bits: symBits, IsPreamble: isPre})
 	}
-	return Plan{
-		Phase:   phase,
-		Records: records,
-		Shift:   m.cfg.TimingErrorUnits*ov + m.cfg.SampleOffset,
+	return modPlan{
+		phase:   phase,
+		records: records,
+		shift:   m.cfg.TimingErrorUnits*ov + m.cfg.SampleOffset,
 	}
 }
 
-// ApplyPlan applies the switch waveform of a captured Plan to one subframe
-// of ambient samples: a pure function of its inputs, safe to run
-// concurrently with planning of later subframes.
-func (m *Modulator) ApplyPlan(ambient []complex128, pl Plan) []complex128 {
+// applyPlan applies the switch waveform of a planned subframe to one
+// subframe of ambient samples.
+func (m *Modulator) applyPlan(ambient []complex128, pl modPlan) []complex128 {
 	p := m.cfg.Params
 	ov := p.Oversample
-	need := ov * p.BW.SamplesPerSubframe()
-	if len(ambient) != need {
-		panic(fmt.Sprintf("tag: subframe needs %d samples, got %d", need, len(ambient)))
-	}
 	unitsPerSubframe := p.BW.SamplesPerSubframe()
 	out := make([]complex128, len(ambient))
 	ampA := complex(math.Sqrt(dsp.FromDB(-m.cfg.ReflectionLossDB)), 0)
-	shift := pl.Shift
+	shift := pl.shift
 	wave := switchWave(p.Oversample, m.cfg.Mode)
 	for s := range ambient {
 		local := s - shift
@@ -267,7 +249,7 @@ func (m *Modulator) ApplyPlan(ambient []complex128, pl Plan) []complex128 {
 			u := local / ov
 			mIdx := local % ov
 			ph := 0
-			if u < unitsPerSubframe && pl.Phase[u] {
+			if u < unitsPerSubframe && pl.phase[u] {
 				ph = 1
 			}
 			w = wave[mIdx][ph]
@@ -281,16 +263,15 @@ func (m *Modulator) ApplyPlan(ambient []complex128, pl Plan) []complex128 {
 // aligned to the true subframe boundary and hold exactly one subframe. The
 // tag's own timing error is applied internally. startBurst begins a new
 // burst: the first modulated symbol carries the preamble. The returned
-// records list what each symbol carried. Equivalent to PlanSubframe followed
-// by ApplyPlan.
+// records list what each symbol carried.
 func (m *Modulator) ModulateSubframe(ambient []complex128, subframe int, startBurst bool) ([]complex128, []SymbolRecord) {
 	p := m.cfg.Params
 	need := p.Oversample * p.BW.SamplesPerSubframe()
 	if len(ambient) != need {
 		panic(fmt.Sprintf("tag: subframe needs %d samples, got %d", need, len(ambient)))
 	}
-	pl := m.PlanSubframe(subframe, startBurst)
-	return m.ApplyPlan(ambient, pl), pl.Records
+	pl := m.planSubframe(subframe, startBurst)
+	return m.applyPlan(ambient, pl), pl.records
 }
 
 // switchWave precomputes the switch waveform over one unit period:

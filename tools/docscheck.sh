@@ -1,5 +1,5 @@
 #!/bin/sh
-# docscheck.sh verifies three invariants of the documentation tree:
+# docscheck.sh verifies four invariants of the documentation tree:
 #
 #   1. Every Go package in the module carries a package doc comment: at least
 #      one file per package must open with a "// Package <x>" (libraries) or
@@ -14,6 +14,12 @@
 #      fenced code block in README.md, docs/*.md and the verify skill notes
 #      (.claude/skills/verify/SKILL.md) must name a target the Makefile
 #      defines.
+#   4. Every Go identifier the docs name by package resolves: a "pkg.Name"
+#      inside a backtick code span in the same files, where internal/pkg
+#      exists, must name something the package's non-test Go files declare
+#      (a top-level func, type, var or const, a method, or a struct field).
+#      Spans inside fenced code blocks, and path components such as
+#      "internal/fleet/sim.go", are not checked.
 #
 # Usage: sh tools/docscheck.sh   (or: make docs-check)
 set -eu
@@ -130,3 +136,50 @@ if [ -n "$missing" ]; then
 fi
 
 echo "docscheck: OK — every make target the docs name exists"
+
+# --- package identifiers named by the docs ------------------------------
+# Each backtick span is scanned for "pkg.Name" tokens that do not continue
+# a longer selector or path (a preceding letter, digit, '_', '.', '/' or '-'
+# rules the token out). A declaration is a line that opens with func (with
+# or without a receiver), type, var or const before Name, or an indented
+# line (struct field, interface method, grouped const/var/type) whose first
+# names include Name; "Name:" keys of composite literals do not count.
+unresolved=$(
+    # shellcheck disable=SC2086 # $docs is a word list with a glob.
+    awk '
+        FNR == 1 { fence = 0 }
+        /^[ \t]*```/ { fence = !fence; next }
+        fence { next }
+        {
+            line = $0
+            while (match(line, /`[^`]+`/)) {
+                span = " " substr(line, RSTART + 1, RLENGTH - 2)
+                line = substr(line, RSTART + RLENGTH)
+                while (match(span, /[^A-Za-z0-9_.\/-][a-z][a-z0-9]*\.[A-Za-z_][A-Za-z0-9_]*/)) {
+                    print FILENAME ":" FNR "\t" substr(span, RSTART + 1, RLENGTH - 1)
+                    span = substr(span, RSTART + RLENGTH)
+                }
+            }
+        }' $docs |
+    while IFS="$(printf '\t')" read -r where ident; do
+        pkg=${ident%%.*}
+        name=${ident#*.}
+        [ -d "internal/$pkg" ] || continue
+        case "$name" in go | md | json | sh) continue ;; esac
+        files=$(find "internal/$pkg" -maxdepth 1 -name '*.go' ! -name '*_test.go')
+        [ -n "$files" ] || continue
+        # shellcheck disable=SC2086 # $files is a word list of paths.
+        if ! grep -Eq "^(func (\([^)]*\) )?|type |var |const |[[:space:]]+([A-Za-z_][A-Za-z0-9_]*, )*)$name([^A-Za-z0-9_:]|\$)" $files; then
+            echo "$where: \`$ident\`"
+        fi
+    done
+)
+
+if [ -n "$unresolved" ]; then
+    echo "docscheck: docs name identifiers their package does not declare:" >&2
+    echo "$unresolved" | sed 's/^/  /' >&2
+    echo "docscheck: FAILED — rename or drop the stale reference" >&2
+    exit 1
+fi
+
+echo "docscheck: OK — every pkg.Name the docs cite is declared"

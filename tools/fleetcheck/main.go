@@ -2,10 +2,9 @@
 // fixed aggregate load ("parked-heavy" — the same city demand spread over
 // ever more parked tags), wall time must grow sub-linearly in fleet size. It
 // times a 10^4-tag and a 10^5-tag semi-analytic run (best of three each) and
-// fails when the 10x fleet costs more than the allowed ratio, then smokes the
-// exact-mode bank path for basic sanity. This is the check behind
-// `make fleet-check`; the full 10^3..10^6 sweep lives in BenchmarkFleet and
-// BENCH_R3.json.
+// fails when the 10x fleet costs more than the allowed ratio. This is the
+// check behind `make fleet-check`; the full 10^3..10^6 sweep lives in
+// BenchmarkFleet and BENCH_R3.json.
 //
 // Usage: go run ./tools/fleetcheck [-small n] [-big n] [-max-ratio r]
 package main
@@ -17,12 +16,7 @@ import (
 	"os"
 	"time"
 
-	"lscatter/internal/channel"
 	"lscatter/internal/fleet"
-	"lscatter/internal/ltephy"
-	"lscatter/internal/rng"
-	"lscatter/internal/simlink"
-	"lscatter/internal/tag"
 )
 
 // simConfig is the shared parked-heavy workload: fixed 50 msg/s aggregate
@@ -84,52 +78,8 @@ func main() {
 		fail = true
 	}
 
-	// Exact-mode smoke: the Bank's TDMA scheduling over a tiny fleet must
-	// produce one owner per subframe and a parked aggregate for the rest.
-	if err := bankSmoke(); err != nil {
-		fmt.Println("FAIL:", err)
-		fail = true
-	} else {
-		fmt.Println("exact-mode bank smoke: ok")
-	}
-
 	if fail {
 		os.Exit(1)
 	}
 	fmt.Println("OK: fleet engine scales sub-linearly in parked tags")
-}
-
-// bankSmoke exercises the exact-mode Bank over a tiny TDMA fleet: ownership
-// must rotate through every tag and the non-owners must fold into a nonzero
-// closed-form parked aggregate.
-func bankSmoke() error {
-	p := ltephy.DefaultParams(ltephy.BW1_4)
-	r := rng.New(7)
-	pl := channel.PathLoss{FreqHz: 680e6, Exponent: 2}
-	const n = 4
-	tags := make([]*simlink.Tag, n)
-	for i := range tags {
-		mod := tag.NewModulator(tag.ModConfig{Params: p, ReflectionLossDB: 6})
-		hop := channel.NewHop(r.Fork(uint64(i+1)), pl, 3, 0, 0, nil)
-		tags[i] = &simlink.Tag{Mod: mod, Path: hop, Park: true}
-	}
-	b := fleet.NewBank(tags, fleet.BankConfig{Config: fleet.Config{MAC: fleet.TDMA, Seed: 7}})
-	seen := map[int]bool{}
-	for sf := 0; sf < 5*n; sf++ {
-		plan := b.PlanSubframe(sf, sf%5 == 0)
-		if plan.Owner < 0 || plan.Owner >= n {
-			return fmt.Errorf("bank smoke: subframe %d has owner %d outside the fleet", sf, plan.Owner)
-		}
-		seen[plan.Owner] = true
-		if plan.ParkScale == 0 {
-			return fmt.Errorf("bank smoke: subframe %d lost the parked aggregate", sf)
-		}
-	}
-	if len(seen) != n {
-		return fmt.Errorf("bank smoke: TDMA rotation reached %d of %d tags", len(seen), n)
-	}
-	if st := b.Stats(); st.Deliveries == 0 {
-		return fmt.Errorf("bank smoke: no deliveries recorded")
-	}
-	return nil
 }

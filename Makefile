@@ -121,10 +121,11 @@ examples-check:
 	$(GO) test -run TestExampleStdout -count=1 .
 
 # End-to-end smoke of the deployment-simulation server binary: build it,
-# launch on an ephemeral port, healthz + one tiny run over real TCP, then a
-# SIGTERM graceful-drain exit — followed by the durability phase: SIGKILL
-# mid-life and a restart that must serve the same body from disk without
-# recompute (see docs/SERVING.md).
+# require -workers 0 to exit 2 before listening, launch on an ephemeral port,
+# healthz + one tiny run over real TCP, then a SIGTERM graceful-drain exit —
+# followed by the durability phase: one disk probe and one disk write per
+# computed run, SIGKILL mid-life and a restart that must serve the same body
+# from disk without recompute (see docs/SERVING.md).
 served-check:
 	$(GO) build -o bin/lscatter-served ./cmd/lscatter-served
 	$(GO) run ./tools/servedcheck -bin bin/lscatter-served

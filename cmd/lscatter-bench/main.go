@@ -174,7 +174,7 @@ func main() {
 		// HTTP shards when -shard-workers is set, wrapped in a checkpointing
 		// layer when -artifact-dir is set. Output is byte-identical through
 		// any stack — the determinism contract RunAllOn documents.
-		var ex exec.Executor = &exec.Local{Run: experiments.ExecRunner()}
+		var ex exec.Executor = experiments.ExecRunner()
 		if *shardWorkers != "" {
 			ex = exec.NewSharded(strings.Split(*shardWorkers, ","), nil)
 		}
@@ -192,7 +192,6 @@ func main() {
 				Inner:  ex,
 				Store:  st,
 				Resume: *resume,
-				Key:    experiments.ArtifactKey,
 			}
 			ex = ckpt
 		}

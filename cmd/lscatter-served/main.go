@@ -22,7 +22,10 @@
 // callers that bind an ephemeral port (-addr 127.0.0.1:0) can discover it —
 // the make served-check smoke test does exactly that. SIGINT/SIGTERM start a
 // graceful shutdown: the listener stops taking requests, queued and running
-// jobs drain (up to a timeout), then the process exits 0.
+// jobs drain (up to a timeout), then the process exits 0. Flag values the
+// server would otherwise replace with a default (a non-positive pool, queue,
+// store or disk bound, a negative -drain) and stray positional arguments are
+// usage errors: the process exits 2 before it listens.
 //
 // API reference and the determinism/caching contract: docs/SERVING.md.
 package main
@@ -42,6 +45,36 @@ import (
 	"lscatter/internal/serve"
 )
 
+// validateFlags rejects what the manager and the disk store would otherwise
+// silently replace with their defaults: non-positive pool, queue and store
+// bounds, a non-positive disk budget, a negative drain timeout, and stray
+// positional arguments.
+func validateFlags(opts serve.Options, drain time.Duration, args []string) error {
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected arguments: %v", args)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"-workers", opts.Workers},
+		{"-job-workers", opts.JobWorkers},
+		{"-queue", opts.QueueDepth},
+		{"-store", opts.StoreEntries},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("%s must be > 0, got %d", f.name, f.v)
+		}
+	}
+	if opts.DiskMaxBytes <= 0 {
+		return fmt.Errorf("-disk-max-bytes must be > 0, got %d", opts.DiskMaxBytes)
+	}
+	if drain < 0 {
+		return fmt.Errorf("-drain must be >= 0, got %v", drain)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
@@ -55,14 +88,20 @@ func main() {
 	)
 	flag.Parse()
 
-	api, err := serve.NewServer(serve.Options{
+	opts := serve.Options{
 		Workers:      *workers,
 		JobWorkers:   *jobWorkers,
 		QueueDepth:   *queue,
 		StoreEntries: *store,
 		ArtifactDir:  *artifactDir,
 		DiskMaxBytes: *diskMax,
-	})
+	}
+	if err := validateFlags(opts, *drain, flag.Args()); err != nil {
+		fmt.Fprintf(os.Stderr, "lscatter-served: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	api, err := serve.NewServer(opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lscatter-served: %v\n", err)
 		os.Exit(1)

@@ -48,7 +48,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var ex exec.Executor = &exec.Local{Run: experiments.ExecRunner()}
+	var ex exec.Executor = experiments.ExecRunner()
 	if *artifactDir != "" {
 		st, err := store.Open(*artifactDir, *diskMax, log.Printf)
 		if err != nil {
@@ -59,7 +59,6 @@ func main() {
 			Inner:  ex,
 			Store:  st,
 			Resume: true,
-			Key:    experiments.ArtifactKey,
 		}
 	}
 

@@ -1,14 +1,14 @@
-// Package exec is the shared execution layer under every artifact-producing
-// surface of the repository: lscatter-bench sweeps, the lscatter-served job
-// manager and the lscatter-worker shards all submit jobs through one
-// Executor interface and persist results through one content-addressed
-// store (internal/store).
+// Package exec is the shared execution layer under the artifact registry:
+// lscatter-bench sweeps and the lscatter-worker shards submit registry jobs
+// through one Executor interface and persist results through one
+// content-addressed store (internal/store).
 //
 // An Executor turns a Job — a stable identifier plus a seed — into artifact
 // bytes. Three implementations compose:
 //
-//   - Local runs the job's RunFunc in-process. It is the deterministic
-//     leaf every other executor bottoms out in.
+//   - RunFunc runs itself in-process, the way http.HandlerFunc serves
+//     itself. It is the deterministic leaf every other executor bottoms
+//     out in.
 //   - Checkpointed wraps any executor with a durable store: completed
 //     artifacts are recorded, and (in resume mode) artifacts already in the
 //     store are returned without recompute, so a killed sweep restarted
@@ -42,28 +42,23 @@ type Job struct {
 	Seed uint64 `json:"seed"`
 }
 
-// RunFunc computes one job's artifact bytes. It must be deterministic in
-// the job (same ID and seed → same bytes) and honor ctx cancellation.
-type RunFunc func(ctx context.Context, job Job) ([]byte, error)
-
 // Executor turns a submitted job into its artifact bytes. Implementations
 // must be safe for concurrent Submit calls.
 type Executor interface {
 	Submit(ctx context.Context, job Job) ([]byte, error)
 }
 
-// Local is the leaf executor: it runs the job's function in-process.
-type Local struct {
-	// Run computes an artifact; required.
-	Run RunFunc
-}
+// RunFunc computes one job's artifact bytes. It must be deterministic in
+// the job (same ID and seed → same bytes) and honor ctx cancellation.
+type RunFunc func(ctx context.Context, job Job) ([]byte, error)
 
-// Submit executes the job unless ctx is already cancelled.
-func (l *Local) Submit(ctx context.Context, job Job) ([]byte, error) {
+// Submit makes a RunFunc the leaf Executor: it runs f in-process unless ctx
+// is already cancelled.
+func (f RunFunc) Submit(ctx context.Context, job Job) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return l.Run(ctx, job)
+	return f(ctx, job)
 }
 
 // workerCtxKey carries the pool slot All assigned to a Submit call, for

@@ -32,12 +32,12 @@ func testJobs(n int) []Job {
 // identical bytes in identical order at any worker count.
 func TestAllDeterministicAcrossWorkerCounts(t *testing.T) {
 	jobs := testJobs(17)
-	want, err := All(context.Background(), &Local{Run: pureRun}, jobs, 1)
+	want, err := All(context.Background(), RunFunc(pureRun), jobs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 4, 17, 99} {
-		got, err := All(context.Background(), &Local{Run: pureRun}, jobs, workers)
+		got, err := All(context.Background(), RunFunc(pureRun), jobs, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -58,7 +58,7 @@ func TestAllStopsOnCancel(t *testing.T) {
 		}
 		return pureRun(ctx, job)
 	}
-	results, err := All(ctx, &Local{Run: run}, testJobs(64), 1)
+	results, err := All(ctx, RunFunc(run), testJobs(64), 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -83,7 +83,7 @@ func TestAllStopsOnSubmitError(t *testing.T) {
 		ran.Add(1)
 		return pureRun(ctx, job)
 	}
-	results, err := All(context.Background(), &Local{Run: run}, testJobs(64), 1)
+	results, err := All(context.Background(), RunFunc(run), testJobs(64), 1)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -107,7 +107,7 @@ func TestCheckpointedResumesExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := &Checkpointed{Inner: &Local{Run: pureRun}, Store: st}
+	cold := &Checkpointed{Inner: RunFunc(pureRun), Store: st}
 	// First pass: only the first K jobs, checkpointed.
 	if _, err := All(context.Background(), cold, jobs[:k], 1); err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestCheckpointedResumesExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed := &Checkpointed{Inner: &Local{Run: pureRun}, Store: st2, Resume: true}
+	resumed := &Checkpointed{Inner: RunFunc(pureRun), Store: st2, Resume: true}
 	got, err := All(context.Background(), resumed, jobs, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestCheckpointedResumesExactly(t *testing.T) {
 	if computed != n-k || restored != k {
 		t.Fatalf("resume stats: computed %d restored %d, want %d and %d", computed, restored, n-k, k)
 	}
-	want, err := All(context.Background(), &Local{Run: pureRun}, jobs, 1)
+	want, err := All(context.Background(), RunFunc(pureRun), jobs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +150,11 @@ func TestCheckpointedColdIgnoresStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := &Checkpointed{Inner: &Local{Run: pureRun}, Store: st}
+	warm := &Checkpointed{Inner: RunFunc(pureRun), Store: st}
 	if _, err := All(context.Background(), warm, jobs, 1); err != nil {
 		t.Fatal(err)
 	}
-	cold := &Checkpointed{Inner: &Local{Run: pureRun}, Store: st}
+	cold := &Checkpointed{Inner: RunFunc(pureRun), Store: st}
 	if _, err := All(context.Background(), cold, jobs, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +163,16 @@ func TestCheckpointedColdIgnoresStore(t *testing.T) {
 	}
 }
 
-func TestDefaultKeyIsStoreSafe(t *testing.T) {
-	k := DefaultKey(Job{ID: "F4c", Seed: 7})
+// TestArtifactKeyIsStoreSafe pins the key rule every checkpoint file name
+// derives from. The literal is the key artifact directories already on disk
+// were written under: changing the namespace string or the hash would
+// silently orphan them, so a change here must be deliberate.
+func TestArtifactKeyIsStoreSafe(t *testing.T) {
+	want := store.Key{SpecHash: "f5ee51394b2784911b98a19a407373e5ce879c29047b951c28e54107b43a8bc0", Seed: 7}
+	if got := ArtifactKey(Job{ID: "F23", Seed: 7}); got != want {
+		t.Fatalf("ArtifactKey(F23, 7) = %+v, want %+v", got, want)
+	}
+	k := ArtifactKey(Job{ID: "F4c", Seed: 7})
 	if len(k.SpecHash) != 64 {
 		t.Fatalf("hash length %d, want 64", len(k.SpecHash))
 	}
@@ -173,10 +181,10 @@ func TestDefaultKeyIsStoreSafe(t *testing.T) {
 			t.Fatalf("non-hex key %q", k.SpecHash)
 		}
 	}
-	if k != DefaultKey(Job{ID: "F4c", Seed: 7}) {
+	if k != ArtifactKey(Job{ID: "F4c", Seed: 7}) {
 		t.Fatal("key not stable")
 	}
-	if k == DefaultKey(Job{ID: "F4d", Seed: 7}) {
+	if k == ArtifactKey(Job{ID: "F4d", Seed: 7}) {
 		t.Fatal("distinct IDs collide")
 	}
 }

@@ -55,7 +55,7 @@ func TestResumeAfterSIGKILL(t *testing.T) {
 	}
 
 	// The restarted sweep: resume over the same directory.
-	resumed := &Checkpointed{Inner: &Local{Run: pureRun}, Store: st, Resume: true}
+	resumed := &Checkpointed{Inner: RunFunc(pureRun), Store: st, Resume: true}
 	got, err := All(context.Background(), resumed, testJobs(n), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestResumeAfterSIGKILL(t *testing.T) {
 	if computed != n-k || restored != k {
 		t.Fatalf("resume recomputed %d and restored %d, want %d and %d", computed, restored, n-k, k)
 	}
-	want, err := All(context.Background(), &Local{Run: pureRun}, testJobs(n), 1)
+	want, err := All(context.Background(), RunFunc(pureRun), testJobs(n), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestKilledSweepHelper(t *testing.T) {
 		}
 		return pureRun(ctx, job)
 	}
-	cp := &Checkpointed{Inner: &Local{Run: killer}, Store: st}
+	cp := &Checkpointed{Inner: RunFunc(killer), Store: st}
 	_, _ = All(context.Background(), cp, testJobs(n), 1)
 	t.Fatal("sweep finished; the kill never fired")
 }

@@ -23,7 +23,7 @@ import (
 //
 // Determinism is untouched by sharding: the job carries its seed, every
 // worker runs the same pure runner, and the bytes on the wire are the bytes
-// a Local executor would have produced.
+// the in-process RunFunc would have produced.
 type Sharded struct {
 	workers []string
 	client  *http.Client

@@ -12,7 +12,7 @@ import (
 )
 
 // newTestWorker spins up an in-process lscatter-worker: the real
-// WorkerHandler over a checkpointed Local sharing dir with its siblings —
+// WorkerHandler over a checkpointed RunFunc sharing dir with its siblings —
 // the same stack cmd/lscatter-worker assembles.
 func newTestWorker(t *testing.T, dir string) (*httptest.Server, *WorkerHandler) {
 	t.Helper()
@@ -20,7 +20,7 @@ func newTestWorker(t *testing.T, dir string) (*httptest.Server, *WorkerHandler) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewWorkerHandler(&Checkpointed{Inner: &Local{Run: pureRun}, Store: st, Resume: true})
+	h := NewWorkerHandler(&Checkpointed{Inner: RunFunc(pureRun), Store: st, Resume: true})
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return srv, h
@@ -28,7 +28,7 @@ func newTestWorker(t *testing.T, dir string) (*httptest.Server, *WorkerHandler) 
 
 // TestShardedMatchesLocal is the refactor's conformance gate at the
 // executor level: two HTTP workers sharing one artifact directory must
-// produce byte-for-byte the artifacts a Local executor produces, with zero
+// produce byte-for-byte the artifacts the in-process RunFunc produces, with zero
 // duplicate computes across the fleet. Run under -race by `make race`.
 func TestShardedMatchesLocal(t *testing.T) {
 	dir := t.TempDir()
@@ -41,7 +41,7 @@ func TestShardedMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := All(context.Background(), &Local{Run: pureRun}, jobs, 1)
+	want, err := All(context.Background(), RunFunc(pureRun), jobs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestShardedMatchesLocal(t *testing.T) {
 
 // TestShardedRedispatchOnWorkerDeath kills one worker before the sweep: its
 // shard must re-dispatch to the survivor and the results must still match
-// Local byte for byte.
+// the in-process run byte for byte.
 func TestShardedRedispatchOnWorkerDeath(t *testing.T) {
 	dir := t.TempDir()
 	jobs := testJobs(16)
@@ -82,7 +82,7 @@ func TestShardedRedispatchOnWorkerDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := All(context.Background(), &Local{Run: pureRun}, jobs, 1)
+	want, _ := All(context.Background(), RunFunc(pureRun), jobs, 1)
 	for i := range jobs {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Fatalf("job %s differs after re-dispatch", jobs[i].ID)
@@ -99,9 +99,9 @@ func TestShardedRedispatchOnWorkerDeath(t *testing.T) {
 // TestShardedPropagatesJobErrors pins that a deterministic worker-side
 // failure comes back as an error, not a retry storm.
 func TestShardedPropagatesJobErrors(t *testing.T) {
-	srv := httptest.NewServer(NewWorkerHandler(&Local{Run: func(ctx context.Context, job Job) ([]byte, error) {
+	srv := httptest.NewServer(NewWorkerHandler(RunFunc(func(ctx context.Context, job Job) ([]byte, error) {
 		return nil, fmt.Errorf("deterministic failure for %s", job.ID)
-	}}))
+	})))
 	defer srv.Close()
 	sharded := NewSharded([]string{srv.URL}, nil)
 	if _, err := sharded.Submit(context.Background(), Job{ID: "J00", Seed: 1}); err == nil {
@@ -114,7 +114,7 @@ func TestShardedPropagatesJobErrors(t *testing.T) {
 
 // TestWorkerHandlerRejectsBadJobs covers the protocol's reject path.
 func TestWorkerHandlerRejectsBadJobs(t *testing.T) {
-	srv := httptest.NewServer(NewWorkerHandler(&Local{Run: pureRun}))
+	srv := httptest.NewServer(NewWorkerHandler(RunFunc(pureRun)))
 	defer srv.Close()
 	for _, body := range []string{``, `{`, `{"seed":1}`, `{"id":"x","seed":1,"extra":true}`} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(body)))

@@ -19,7 +19,7 @@ type WorkerStats struct {
 	Restored uint64 `json:"restored"`
 }
 
-// statser is implemented by Checkpointed; a worker over a bare Local
+// statser is implemented by Checkpointed; a worker over a bare RunFunc
 // reports computed == served.
 type statser interface {
 	Stats() (computed, restored uint64)

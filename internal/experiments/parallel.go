@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"context"
-
-	"lscatter/internal/exec"
-)
+import "context"
 
 // DeriveSeed maps the harness master seed to the per-artifact seed used by
 // All and RunAll: the master seed XORed with an FNV-1a hash of the artifact
@@ -28,8 +24,8 @@ func DeriveSeed(seed uint64, id string) uint64 {
 
 // RunAll regenerates every registered artifact using a pool of workers and
 // returns the results in ID order, each with RunMetrics attached. It is the
-// thin adapter over the shared execution layer: a Local executor running
-// ExecRunner through RunAllOn — the same stack `lscatter-bench` extends
+// thin adapter over the shared execution layer: ExecRunner submitted
+// in-process through RunAllOn — the same stack `lscatter-bench` extends
 // with checkpointing (-artifact-dir/-resume) and sharding (-shard-workers).
 //
 // workers <= 0 selects runtime.NumCPU(); the pool is never larger than the
@@ -39,7 +35,7 @@ func DeriveSeed(seed uint64, id string) uint64 {
 // cancelled, RunAll stops dispatching, waits for in-flight runners, and
 // returns the partial results (unrun artifacts are nil) alongside ctx.Err().
 func RunAll(ctx context.Context, seed uint64, workers int) ([]*Result, error) {
-	return RunAllOn(ctx, &exec.Local{Run: ExecRunner()}, seed, workers)
+	return RunAllOn(ctx, ExecRunner(), seed, workers)
 }
 
 // RunOne regenerates a single artifact with the seed taken verbatim (no

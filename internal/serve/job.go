@@ -8,7 +8,6 @@ import (
 	"log"
 	"sync"
 
-	"lscatter/internal/exec"
 	"lscatter/internal/experiments"
 	"lscatter/internal/store"
 )
@@ -245,12 +244,6 @@ type Manager struct {
 	opts  Options
 	store *store.Memory
 	disk  *store.DiskStore // nil when no ArtifactDir is configured
-	// executor is the shared compute-and-persist stack (internal/exec): a
-	// Local executor bottoming out in RunDeployment, wrapped — when a
-	// durable store is configured — in a Checkpointed executor that records
-	// finished bodies and restores artifacts a sibling process sharing the
-	// directory computed first.
-	executor exec.Executor
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -292,22 +285,6 @@ func NewManager(opts Options) (*Manager, error) {
 			return nil, err
 		}
 		m.disk = disk
-	}
-	local := &exec.Local{Run: m.runJob}
-	if m.disk != nil {
-		// The job ID is the spec hash, so the checkpoint key reproduces the
-		// exact artifact file names the serve layer has always written —
-		// directories persisted by earlier versions resume seamlessly.
-		m.executor = &exec.Checkpointed{
-			Inner:  local,
-			Store:  m.disk,
-			Resume: true,
-			Key: func(j exec.Job) store.Key {
-				return store.Key{SpecHash: j.ID, Seed: j.Seed}
-			},
-		}
-	} else {
-		m.executor = local
 	}
 	for i := 0; i < opts.Workers; i++ {
 		m.wg.Add(1)
@@ -577,16 +554,15 @@ func (m *Manager) runFlight(fl *flight) {
 		j.setRunning()
 	}
 
-	// The compute-and-persist step is the shared executor stack: exec.Local
-	// bottoms out in runJob below, and when a durable store is configured
-	// exec.Checkpointed records the body (and restores one a sibling process
-	// sharing the directory finished first). The flight rides the context so
-	// the generic Job — an (ID, Seed) pair — stays serializable.
-	body, err := m.executor.Submit(context.WithValue(ctx, flightCtxKey{}, fl), exec.Job{ID: fl.key.SpecHash, Seed: fl.key.Seed})
+	body, err := m.compute(ctx, fl)
 	switch {
 	case err == nil:
 		// Store before retiring the flight: a Submit that misses the
-		// in-flight table afterwards must hit the store.
+		// in-flight table afterwards must hit the store. Submit already
+		// probed the disk for this key, so the write-through is a plain Put.
+		if m.disk != nil {
+			m.disk.Put(fl.key, body)
+		}
 		m.store.Put(fl.key, body)
 		for _, j := range m.finishFlight(fl) {
 			j.finish(Done, body, "")
@@ -610,18 +586,10 @@ func (m *Manager) runFlight(fl *flight) {
 	}
 }
 
-// flightCtxKey carries the flight through the executor stack into runJob.
-type flightCtxKey struct{}
-
-// runJob is the exec.RunFunc the manager's Local executor bottoms out in: it
-// recovers the flight from the context, runs the deployment with progress
-// fanned out to every attached job, and returns the canonical result body —
-// the bytes the stores persist and every coalesced client receives.
-func (m *Manager) runJob(ctx context.Context, job exec.Job) ([]byte, error) {
-	fl, ok := ctx.Value(flightCtxKey{}).(*flight)
-	if !ok {
-		return nil, errors.New("serve: job submitted without a flight")
-	}
+// compute runs the flight's deployment with progress fanned out to every
+// attached job and returns the canonical result body — the bytes the stores
+// persist and every coalesced client receives.
+func (m *Manager) compute(ctx context.Context, fl *flight) ([]byte, error) {
 	progress := func(done, total int, tag experiments.TagReport) {
 		m.mu.Lock()
 		attached := append([]*Job(nil), fl.jobs...)

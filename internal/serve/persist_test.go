@@ -144,3 +144,46 @@ func TestManagerRecomputesAfterCorruption(t *testing.T) {
 		t.Fatalf("quarantined %d, want 1: %+v", ds.Quarantined, ds)
 	}
 }
+
+// TestManagerProbesDiskOncePerComputedRun pins the write-through path: each
+// fresh spec costs exactly one disk probe (Submit's) and one disk write, and
+// the body lands at the store's file name for the spec's key — the layout
+// directories written by earlier versions already use.
+func TestManagerProbesDiskOncePerComputedRun(t *testing.T) {
+	const n = 3
+	dir := t.TempDir()
+	m := newManager(t, Options{Workers: 2, ArtifactDir: dir})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := m.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for i := 0; i < n; i++ {
+		spec := normalized(t, 2, uint64(900+i))
+		j, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Finished()
+		body, ok := j.Results()
+		if !ok {
+			t.Fatalf("run %d did not finish done: %+v", i, j.Status())
+		}
+		key := store.Key{SpecHash: spec.Hash(), Seed: spec.Seed}
+		onDisk, err := os.ReadFile(filepath.Join(dir, store.FileName(key)))
+		if err != nil {
+			t.Fatalf("run %d: body not at its key's file name: %v", i, err)
+		}
+		if !bytes.Contains(onDisk, body) {
+			t.Fatalf("run %d: stored file does not hold the served body", i)
+		}
+	}
+	if ctr := m.Counters(); ctr.Computed != n {
+		t.Fatalf("computed %d, want %d: %+v", ctr.Computed, n, ctr)
+	}
+	if ds := m.Disk().Stats(); ds.Misses != n || ds.Puts != n {
+		t.Fatalf("disk misses %d puts %d, want %d each: %+v", ds.Misses, ds.Puts, n, ds)
+	}
+}

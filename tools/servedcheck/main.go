@@ -4,14 +4,16 @@
 // the one gate that proves the shipped binary — flags, listener, signal
 // handling, on-disk state — works outside the httptest harness.
 //
-// Two phases run back to back:
+// Three phases run back to back:
 //
-//  1. Graceful: memory-only server; healthz, submit, poll, fetch results,
+//  1. Bad flags: -workers 0 must be a usage error — exit status 2 without
+//     ever printing the listening banner.
+//  2. Graceful: memory-only server; healthz, submit, poll, fetch results,
 //     metrics, then SIGTERM must drain and exit 0.
-//  2. Durable: server with -artifact-dir; run a spec, SIGKILL the process
-//     (the crash), restart over the same directory, and require the
-//     resubmission to be a disk-served cache hit with a byte-identical body
-//     and zero recompute.
+//  3. Durable: server with -artifact-dir; run a spec (one disk probe, one
+//     disk write), SIGKILL the process (the crash), restart over the same
+//     directory, and require the resubmission to be a disk-served cache hit
+//     with a byte-identical body and zero recompute.
 //
 // Usage: servedcheck -bin bin/lscatter-served
 package main
@@ -19,7 +21,9 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,6 +38,10 @@ import (
 func main() {
 	bin := flag.String("bin", "bin/lscatter-served", "path to the lscatter-served binary")
 	flag.Parse()
+	if err := runBadFlags(*bin); err != nil {
+		fmt.Fprintf(os.Stderr, "servedcheck: FAIL (bad flags): %v\n", err)
+		os.Exit(1)
+	}
 	if err := runGraceful(*bin); err != nil {
 		fmt.Fprintf(os.Stderr, "servedcheck: FAIL (graceful): %v\n", err)
 		os.Exit(1)
@@ -182,6 +190,8 @@ type metricsDoc struct {
 	} `json:"jobs"`
 	Disk *struct {
 		Hits        int `json:"hits"`
+		Misses      int `json:"misses"`
+		Puts        int `json:"puts"`
 		Quarantined int `json:"quarantined"`
 	} `json:"disk"`
 }
@@ -198,7 +208,25 @@ func (s *server) metrics() (metricsDoc, error) {
 	return met, nil
 }
 
-// runGraceful is phase 1: the original memory-only smoke.
+// runBadFlags is phase 1: a flag value the server would otherwise replace
+// with a default must stop it with a usage error before it listens.
+func runBadFlags(bin string) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", "-workers", "0")
+	stdout, err := cmd.Output()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
+		return fmt.Errorf("-workers 0: want exit status 2, got %v", err)
+	}
+	if bytes.Contains(stdout, []byte("listening on")) {
+		return fmt.Errorf("-workers 0: server listened before refusing: %q", stdout)
+	}
+	fmt.Println("servedcheck: -workers 0 refused with exit status 2")
+	return nil
+}
+
+// runGraceful is phase 2: the original memory-only smoke.
 func runGraceful(bin string) error {
 	srv, err := launch(bin)
 	if err != nil {
@@ -247,7 +275,7 @@ func runGraceful(bin string) error {
 	return srv.sigterm()
 }
 
-// runDurable is phase 2: crash with SIGKILL, restart over the same artifact
+// runDurable is phase 3: crash with SIGKILL, restart over the same artifact
 // directory, and require a byte-identical zero-recompute disk hit.
 func runDurable(bin string) error {
 	dir, err := os.MkdirTemp("", "servedcheck-artifacts-")
@@ -273,6 +301,14 @@ func runDurable(bin string) error {
 	body1, err := srv1.resultsBody(sub1)
 	if err != nil {
 		return err
+	}
+	// One computed run costs one disk probe (Submit's miss) and one write.
+	met1, err := srv1.metrics()
+	if err != nil {
+		return err
+	}
+	if met1.Disk == nil || met1.Disk.Misses != 1 || met1.Disk.Puts != 1 {
+		return fmt.Errorf("computed-run disk stats want 1 miss, 1 put: %+v", met1.Disk)
 	}
 	// The crash. No drain: whatever is durable must already be on disk.
 	if err := srv1.sigkill(); err != nil {

@@ -2,17 +2,16 @@
 
 GO ?= go
 
-.PHONY: all ci test race vet docs-check fuzz-smoke golden-update resilience bench bench-compare bench-check rtf fleet-check dist-check figures examples examples-check served-check served-load cover clean
+.PHONY: all ci test race vet docs-check fuzz-smoke golden-update resilience bench bench-compare bench-check rtf fleet-check figures examples examples-check served-check served-load cover clean
 
 all: vet test
 
 # The full gate a PR must pass: vet with the gofmt check, the suite under the
 # race detector, the doc-comment and make-target check, the example-stdout
 # goldens, the fleet-engine scaling gate, both server smokes (end-to-end
-# crash/restart, then load with required coalesce + disk-hit evidence), the
-# distributed-execution smoke and the repository benchmark's output checks.
-# Run it before pushing.
-ci: vet race docs-check examples-check fleet-check served-check served-load dist-check bench-check
+# crash/restart, then load with required coalesce + disk-hit evidence) and
+# the repository benchmark's output checks. Run it before pushing.
+ci: vet race docs-check examples-check fleet-check served-check served-load bench-check
 
 test:
 	$(GO) test ./...
@@ -97,15 +96,6 @@ bench-check:
 fleet-check:
 	$(GO) test -race -count=1 ./internal/fleet ./internal/simlink
 	$(GO) run ./tools/fleetcheck
-
-# Distributed-execution smoke: two lscatter-worker shards over one shared
-# artifact directory; the sharded `-all` sweep must print byte-identical
-# output to the local sweep with every artifact computed exactly once across
-# the workers and zero restores on the cold store (see docs/DISTRIBUTED.md).
-dist-check:
-	$(GO) build -o bin/lscatter-bench ./cmd/lscatter-bench
-	$(GO) build -o bin/lscatter-worker ./cmd/lscatter-worker
-	$(GO) run ./tools/distcheck -bench bin/lscatter-bench -worker bin/lscatter-worker
 
 examples:
 	$(GO) run ./examples/quickstart

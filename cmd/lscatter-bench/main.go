@@ -7,7 +7,6 @@
 //	lscatter-bench -id F23 [-seed 7]
 //	lscatter-bench -all [-parallel 8] [-metrics out.json]
 //	lscatter-bench -all -artifact-dir DIR [-resume]
-//	lscatter-bench -all -shard-workers http://127.0.0.1:9301,http://127.0.0.1:9302
 //	lscatter-bench -impair [-seed 7] [-metrics out.json]
 //	lscatter-bench -rtf [-metrics out.json]
 //
@@ -20,10 +19,9 @@
 // -artifact-dir checkpoints every finished artifact into a durable
 // content-addressed store as the sweep runs; -resume additionally restores
 // already-checkpointed artifacts from it, so a sweep killed after K of N
-// artifacts recomputes exactly N−K on restart. -shard-workers fans the sweep
-// out to lscatter-worker HTTP processes instead of computing in-process.
-// Every executor prints byte-identical tables — the checkpoint/restore
-// summary goes to stderr. See docs/DISTRIBUTED.md.
+// artifacts recomputes exactly N−K on restart. A checkpointed sweep prints
+// byte-identical tables — the checkpoint/restore summary goes to stderr. See
+// the execution-layer section of docs/ARCHITECTURE.md.
 //
 // -rtf measures the float Session's real-time factor at 20 MHz on one
 // goroutine — simulated seconds per wall-clock second for the full chain
@@ -41,6 +39,11 @@
 // a single shared-channel cell of -fleet-tags tags under -fleet-mac
 // arbitration for -fleet-minutes simulated minutes, printing the delivery,
 // collision and latency report. The city-scale artifact itself is -id C1.
+//
+// -fleet, -list, -all, -id (or -impair) and -rtf each select one run mode,
+// and at most one may be given; the exceptions are -rtf, which composes with
+// -all, and -impair -id R1, which names the same sweep twice. Positional
+// arguments are rejected.
 package main
 
 import (
@@ -63,6 +66,36 @@ func usageError(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "lscatter-bench: "+format+"\n", args...)
 	flag.Usage()
 	os.Exit(2)
+}
+
+// validateModes rejects positional arguments, which no mode reads, and a
+// request for more than one run mode, which would silently run only one.
+func validateModes(args []string, fleetRun, list, all, rtf, impair bool, id string) error {
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected arguments: %v", args)
+	}
+	if impair && id != "" && id != "R1" {
+		return fmt.Errorf("-impair runs -id R1; it cannot be combined with -id %s", id)
+	}
+	var modes []string
+	for _, m := range []struct {
+		name string
+		on   bool
+	}{
+		{"-fleet", fleetRun},
+		{"-list", list},
+		{"-all", all},
+		{"-id/-impair", id != "" || impair},
+		{"-rtf", rtf && !all},
+	} {
+		if m.on {
+			modes = append(modes, m.name)
+		}
+	}
+	if len(modes) > 1 {
+		return fmt.Errorf("%s are mutually exclusive", strings.Join(modes, " and "))
+	}
+	return nil
 }
 
 // validateFleetFlags checks the -fleet options: a fleet size the engine
@@ -89,11 +122,10 @@ func main() {
 		parallel = flag.Int("parallel", 1, "worker count for -all (0 = NumCPU, 1 = sequential)")
 		metrics  = flag.String("metrics", "", "write a JSON metrics report to this file")
 
-		artifactDir  = flag.String("artifact-dir", "", "checkpoint -all artifacts into this durable store")
-		resume       = flag.Bool("resume", false, "restore already-checkpointed artifacts from -artifact-dir")
-		shardWorkers = flag.String("shard-workers", "", "comma-separated lscatter-worker base URLs for -all")
-		impaired     = flag.Bool("impair", false, "run the link-resilience sweep (shorthand for -id R1)")
-		rtf          = flag.Bool("rtf", false, "measure the Session real-time factor at 20 MHz")
+		artifactDir = flag.String("artifact-dir", "", "checkpoint -all artifacts into this durable store")
+		resume      = flag.Bool("resume", false, "restore already-checkpointed artifacts from -artifact-dir")
+		impaired    = flag.Bool("impair", false, "run the link-resilience sweep (shorthand for -id R1)")
+		rtf         = flag.Bool("rtf", false, "measure the Session real-time factor at 20 MHz")
 
 		fleetRun     = flag.Bool("fleet", false, "run the event-driven fleet engine standalone")
 		fleetTags    = flag.Int("fleet-tags", 1_000_000, "fleet size for -fleet")
@@ -105,14 +137,17 @@ func main() {
 
 	// Flag combinations are validated up front, so a misconfigured sweep
 	// fails with a usage error before any artifact computes.
+	if err := validateModes(flag.Args(), *fleetRun, *list, *all, *rtf, *impaired, *id); err != nil {
+		usageError("%v", err)
+	}
 	if *parallel < 0 {
 		usageError("-parallel must be >= 0 (0 = NumCPU), got %d", *parallel)
 	}
 	if *resume && *artifactDir == "" {
 		usageError("-resume requires -artifact-dir: there is no store to restore from")
 	}
-	if (*artifactDir != "" || *resume || *shardWorkers != "") && !*all {
-		usageError("-artifact-dir, -resume and -shard-workers apply only to -all")
+	if (*artifactDir != "" || *resume) && !*all {
+		usageError("-artifact-dir and -resume apply only to -all")
 	}
 	if *fleetRun {
 		if err := validateFleetFlags(*fleetTags, *fleetMinutes, *fleetLoad); err != nil {
@@ -129,10 +164,6 @@ func main() {
 	}
 
 	if *impaired {
-		if *id != "" && *id != "R1" {
-			fmt.Fprintln(os.Stderr, "-impair and -id are mutually exclusive")
-			os.Exit(2)
-		}
 		*id = "R1"
 	}
 
@@ -170,14 +201,11 @@ func main() {
 	case *list:
 		fmt.Println(strings.Join(experiments.IDs(), "\n"))
 	case *all:
-		// The executor stack, innermost out: the local registry pool, or
-		// HTTP shards when -shard-workers is set, wrapped in a checkpointing
-		// layer when -artifact-dir is set. Output is byte-identical through
-		// any stack — the determinism contract RunAllOn documents.
+		// The executor stack, innermost out: the local registry pool,
+		// wrapped in a checkpointing layer when -artifact-dir is set. Output
+		// is byte-identical either way — the determinism contract RunAllOn
+		// documents.
 		var ex exec.Executor = experiments.ExecRunner()
-		if *shardWorkers != "" {
-			ex = exec.NewSharded(strings.Split(*shardWorkers, ","), nil)
-		}
 		var ckpt *exec.Checkpointed
 		if *artifactDir != "" {
 			logf := func(format string, args ...any) {

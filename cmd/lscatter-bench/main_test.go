@@ -8,6 +8,45 @@ import (
 	"lscatter/internal/fleet"
 )
 
+func TestValidateModes(t *testing.T) {
+	for _, tc := range []struct {
+		name                          string
+		args                          []string
+		fleet, list, all, rtf, impair bool
+		id                            string
+		want                          string // substring of the error; "" means valid
+	}{
+		{name: "no mode"},
+		{name: "fleet", fleet: true},
+		{name: "list", list: true},
+		{name: "all", all: true},
+		{name: "id", id: "T1"},
+		{name: "impair", impair: true},
+		{name: "rtf", rtf: true},
+		{name: "all with rtf", all: true, rtf: true},
+		{name: "impair with id R1", impair: true, id: "R1"},
+		{name: "list with positional", list: true, args: []string{"extra"}, want: "unexpected arguments"},
+		{name: "all with positional", all: true, args: []string{"F23"}, want: "unexpected arguments"},
+		{name: "id with all", id: "T1", all: true, want: "mutually exclusive"},
+		{name: "fleet with id", fleet: true, id: "T1", want: "mutually exclusive"},
+		{name: "fleet with list", fleet: true, list: true, want: "mutually exclusive"},
+		{name: "list with all", list: true, all: true, want: "mutually exclusive"},
+		{name: "impair with all", impair: true, all: true, want: "mutually exclusive"},
+		{name: "impair with fleet", impair: true, fleet: true, want: "mutually exclusive"},
+		{name: "rtf with id", rtf: true, id: "F23", want: "mutually exclusive"},
+		{name: "rtf with list", rtf: true, list: true, want: "mutually exclusive"},
+		{name: "impair with id F23", impair: true, id: "F23", want: "-impair"},
+	} {
+		err := validateModes(tc.args, tc.fleet, tc.list, tc.all, tc.rtf, tc.impair, tc.id)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one naming %s", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestValidateFleetFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

@@ -19,9 +19,8 @@ import (
 // are the bytes any executor would produce for that job, so restoring is
 // indistinguishable from recomputing. The store itself guards against
 // torn or corrupt checkpoints (atomic writes, checksummed reads), and its
-// advisory lock makes the directory safe to share with sibling processes —
-// workers checkpointing into the directory a later resume reads is the
-// multi-process sharing path.
+// advisory lock makes the directory safe to share with sibling processes,
+// such as an lscatter-served instance over the same directory.
 type Checkpointed struct {
 	// Inner computes artifacts the store does not hold; required.
 	Inner Executor
@@ -36,10 +35,10 @@ type Checkpointed struct {
 }
 
 // ArtifactKey maps a job to its content-addressed store key: a SHA-256 of
-// the namespaced job ID plus the seed verbatim. Workers and resumed sweeps
-// sharing one artifact directory agree on keys by construction, with no
-// coordination. The namespace string is part of every checkpoint file name:
-// changing it orphans existing artifact directories.
+// the namespaced job ID plus the seed verbatim. A cold sweep and a later
+// resume over the same artifact directory agree on keys by construction,
+// with no coordination. The namespace string is part of every checkpoint
+// file name: changing it orphans existing artifact directories.
 func ArtifactKey(job Job) store.Key {
 	sum := sha256.Sum256([]byte("lscatter-bench-artifact:" + job.ID))
 	return store.Key{SpecHash: hex.EncodeToString(sum[:]), Seed: job.Seed}

@@ -1,29 +1,23 @@
-// Package exec is the shared execution layer under the artifact registry:
-// lscatter-bench sweeps and the lscatter-worker shards submit registry jobs
-// through one Executor interface and persist results through one
-// content-addressed store (internal/store).
+// Package exec is the execution layer under the artifact registry:
+// lscatter-bench sweeps submit registry jobs through one Executor interface
+// and persist results through one content-addressed store (internal/store).
 //
 // An Executor turns a Job — a stable identifier plus a seed — into artifact
-// bytes. Three implementations compose:
+// bytes. Two implementations compose:
 //
 //   - RunFunc runs itself in-process, the way http.HandlerFunc serves
-//     itself. It is the deterministic leaf every other executor bottoms
-//     out in.
+//     itself. It is the deterministic leaf Checkpointed bottoms out in.
 //   - Checkpointed wraps any executor with a durable store: completed
 //     artifacts are recorded, and (in resume mode) artifacts already in the
 //     store are returned without recompute, so a killed sweep restarted
 //     over the same directory recomputes only what is missing.
-//   - Sharded fans jobs out to stdlib HTTP worker processes
-//     (cmd/lscatter-worker), hash-sharding job IDs so each worker computes
-//     a disjoint subset, with re-dispatch to the surviving workers when one
-//     dies mid-sweep.
 //
 // The fan-out helper All runs a batch of jobs on a bounded worker pool and
 // returns artifacts in job order. Determinism is the package's contract:
 // jobs carry their own seeds, RunFuncs are pure in (job, seed), and no
 // executor or pool shape may change a single output byte — which is exactly
-// the property that makes artifacts safe to checkpoint, share and shard.
-// See docs/DISTRIBUTED.md.
+// the property that makes artifacts safe to checkpoint and restore. See the
+// execution-layer section of docs/ARCHITECTURE.md.
 package exec
 
 import (
@@ -34,9 +28,8 @@ import (
 
 // Job is one unit of work: a stable artifact identifier plus the seed the
 // runner must use verbatim. The pair fully determines the artifact bytes —
-// every runner behind an Executor is pure — so a Job can be executed
-// anywhere (in-process, another process, another machine) with identical
-// results.
+// every runner behind an Executor is pure — so computing a Job and
+// restoring its checkpoint give identical results.
 type Job struct {
 	ID   string `json:"id"`
 	Seed uint64 `json:"seed"`

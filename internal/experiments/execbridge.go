@@ -8,17 +8,17 @@ import (
 	"lscatter/internal/exec"
 )
 
-// This file is the bridge between the experiment registry and the shared
+// This file is the bridge between the experiment registry and the
 // execution layer (internal/exec): artifacts become exec.Jobs, runners
 // become an exec.RunFunc, and Results round-trip through artifact bytes so
-// any executor — in-process, checkpointed to a durable store, or sharded
-// across lscatter-worker processes — regenerates the registry with
-// byte-identical output. See docs/DISTRIBUTED.md.
+// either executor — in-process, or checkpointed to a durable store —
+// regenerates the registry with byte-identical output. See the
+// execution-layer section of docs/ARCHITECTURE.md.
 
 // EncodeResult serializes a Result to artifact bytes. The encoding is JSON:
 // every field that reaches Render is a string slice, so the round-trip
-// through DecodeResult is exact and rendered tables are byte-identical to
-// the in-process path no matter which executor carried the bytes.
+// through DecodeResult is exact and a table rendered from a restored
+// checkpoint is byte-identical to one rendered from a fresh computation.
 func EncodeResult(res *Result) ([]byte, error) {
 	return json.Marshal(res)
 }
@@ -46,9 +46,8 @@ func ExecJobs(seed uint64) []exec.Job {
 
 // ExecRunner adapts the registry to an exec.RunFunc: look up the artifact,
 // run it instrumented with the job's seed verbatim, and encode the Result.
-// This is the one compute path every executor shares — lscatter-bench's
-// local pool, the checkpointed resume path and the lscatter-worker shards
-// all bottom out here.
+// This is the one compute path: lscatter-bench's local pool and its
+// checkpointed resume path both bottom out here.
 func ExecRunner() exec.RunFunc {
 	return func(ctx context.Context, job exec.Job) ([]byte, error) {
 		r, ok := registry[job.ID]
@@ -62,10 +61,10 @@ func ExecRunner() exec.RunFunc {
 
 // RunAllOn regenerates every registered artifact through an arbitrary
 // executor and returns the results in ID order. It is the generalized
-// RunAll: the executor decides where and whether each job computes (local
-// pool, checkpoint restore, HTTP shard), while seed derivation, ordering
-// and decoding stay here — which is why the rendered output is
-// byte-identical across executors.
+// RunAll: the executor decides whether each job computes or is restored
+// from a checkpoint, while seed derivation, ordering and decoding stay
+// here — which is why the rendered output is byte-identical across
+// executors.
 //
 // On cancellation the partial results are returned (unrun artifacts nil)
 // alongside ctx.Err(); on an executor failure the first error is returned

@@ -8,7 +8,7 @@ import "context"
 // depends only on (master seed, ID) — never on which worker ran it, in what
 // order, or alongside what else — which is what makes RunAll's output
 // bit-identical to the sequential path at any worker count, and artifact
-// bytes safe to checkpoint and shard across processes.
+// bytes safe to checkpoint and restore.
 func DeriveSeed(seed uint64, id string) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -24,9 +24,9 @@ func DeriveSeed(seed uint64, id string) uint64 {
 
 // RunAll regenerates every registered artifact using a pool of workers and
 // returns the results in ID order, each with RunMetrics attached. It is the
-// thin adapter over the shared execution layer: ExecRunner submitted
+// thin adapter over the execution layer: ExecRunner submitted
 // in-process through RunAllOn — the same stack `lscatter-bench` extends
-// with checkpointing (-artifact-dir/-resume) and sharding (-shard-workers).
+// with checkpointing (-artifact-dir/-resume).
 //
 // workers <= 0 selects runtime.NumCPU(); the pool is never larger than the
 // registry. Determinism is unconditional: for any worker count and any

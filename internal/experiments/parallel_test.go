@@ -5,9 +5,47 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
+
+// The registry sweeps below are shared by every test that only reads a whole
+// sweep's results, so the test binary regenerates the registry at most once
+// sequentially and once on a pool. Tests must not mutate the shared slices or
+// the Results they point to.
+const (
+	sweepSeed    = 1
+	sweepWorkers = 8
+)
+
+var (
+	seqOnce  sync.Once
+	seqSweep []*Result
+
+	poolOnce  sync.Once
+	poolSweep []*Result
+	poolErr   error
+)
+
+// sequentialSweep returns All(sweepSeed), computed once per test binary.
+func sequentialSweep() []*Result {
+	seqOnce.Do(func() { seqSweep = All(sweepSeed) })
+	return seqSweep
+}
+
+// pooledSweep returns RunAll(sweepSeed) on sweepWorkers workers, computed
+// once per test binary.
+func pooledSweep(t *testing.T) []*Result {
+	t.Helper()
+	poolOnce.Do(func() {
+		poolSweep, poolErr = RunAll(context.Background(), sweepSeed, sweepWorkers)
+	})
+	if poolErr != nil {
+		t.Fatal(poolErr)
+	}
+	return poolSweep
+}
 
 func TestDeriveSeedDecorrelatesArtifacts(t *testing.T) {
 	seen := map[uint64]string{}
@@ -33,11 +71,7 @@ func TestRunAllMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every artifact twice")
 	}
-	seq := All(5)
-	par, err := RunAll(context.Background(), 5, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par := sequentialSweep(), pooledSweep(t)
 	ids := IDs()
 	if len(seq) != len(ids) || len(par) != len(ids) {
 		t.Fatalf("result counts: sequential %d, parallel %d, want %d", len(seq), len(par), len(ids))
@@ -51,7 +85,7 @@ func TestRunAllMatchesSequential(t *testing.T) {
 			t.Errorf("%s: headers differ", id)
 		}
 		if !reflect.DeepEqual(s.Rows, p.Rows) {
-			t.Errorf("%s: rows differ between sequential and 8-worker runs", id)
+			t.Errorf("%s: rows differ between sequential and %d-worker runs", id, sweepWorkers)
 		}
 		if !reflect.DeepEqual(s.Notes, p.Notes) {
 			t.Errorf("%s: notes differ", id)
@@ -60,11 +94,7 @@ func TestRunAllMatchesSequential(t *testing.T) {
 }
 
 func TestRunAllAttachesMetrics(t *testing.T) {
-	results, err := RunAll(context.Background(), 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range results {
+	for _, res := range pooledSweep(t) {
 		m := res.Metrics
 		if m == nil {
 			t.Fatalf("%s: no metrics attached", res.ID)
@@ -72,7 +102,7 @@ func TestRunAllAttachesMetrics(t *testing.T) {
 		if m.ID != res.ID || m.Rows != len(res.Rows) {
 			t.Fatalf("%s: metrics mismatch: %+v", res.ID, m)
 		}
-		if m.Seed != DeriveSeed(3, res.ID) {
+		if m.Seed != DeriveSeed(sweepSeed, res.ID) {
 			t.Fatalf("%s: ran with seed %d, want derived seed", res.ID, m.Seed)
 		}
 		if m.WallSeconds < 0 {
@@ -113,12 +143,8 @@ func TestRunOneUsesSeedVerbatim(t *testing.T) {
 }
 
 func TestBuildReportRoundTripsJSON(t *testing.T) {
-	results, err := RunAll(context.Background(), 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := BuildReport(2, 2, 1500*time.Millisecond, results)
-	if rep.Seed != 2 || rep.Workers != 2 || rep.WallSeconds != 1.5 {
+	rep := BuildReport(sweepSeed, sweepWorkers, 1500*time.Millisecond, pooledSweep(t))
+	if rep.Seed != sweepSeed || rep.Workers != sweepWorkers || rep.WallSeconds != 1.5 {
 		t.Fatalf("report header: %+v", rep)
 	}
 	if len(rep.Artifacts) != len(IDs()) {

@@ -157,14 +157,15 @@ func decodeIndex(data []byte) (*indexDoc, error) {
 // size is bounded by maxBytes with LRU eviction. Corrupt files are
 // quarantined (moved into quarantine/), never served.
 //
-// The store is multi-process safe: mutations hold an advisory exclusive lock
-// on dir/.lock for their duration (never at rest, so several open stores —
-// including several in one process — interleave freely), every write is an
-// atomic temp+fsync+rename, and a Get that misses the in-memory index probes
-// the canonical file name so artifacts Put by a sibling process are adopted
-// instead of recomputed. The index file is advisory recency; concurrent
-// writers may overwrite each other's index, and the startup scan rebuilds it
-// from the artifact files either way.
+// The store is multi-process safe, so an lscatter-served instance and an
+// lscatter-bench -artifact-dir sweep can share one directory: mutations hold
+// an advisory exclusive lock on dir/.lock for their duration (never at rest,
+// so several open stores — including several in one process — interleave
+// freely), every write is an atomic temp+fsync+rename, and a Get that misses
+// the in-memory index probes the canonical file name so artifacts Put by a
+// sibling process are adopted instead of recomputed. The index file is
+// advisory recency; concurrent writers may overwrite each other's index, and
+// the startup scan rebuilds it from the artifact files either way.
 type DiskStore struct {
 	mu       sync.Mutex
 	dir      string

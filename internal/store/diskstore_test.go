@@ -15,7 +15,8 @@ import (
 // story: artifacts survive process boundaries byte-identically, and
 // truncated, bit-flipped, zero-length or stale-indexed files are quarantined
 // and recomputed — never served. The multi-store tests pin the sharing
-// story: a store adopts artifacts a sibling wrote into the same directory.
+// story that lets a server and a sweep use one directory: a store adopts
+// artifacts a sibling wrote into the same directory.
 
 func testKey(seed uint64) Key {
 	return Key{SpecHash: "0123456789abcdef", Seed: seed}
@@ -66,10 +67,11 @@ func TestDiskStoreMissIsAMiss(t *testing.T) {
 	}
 }
 
-// TestDiskStoreAdoptsSiblingWrites is the multi-process sharing contract:
-// an artifact Put through one open store is visible to another store already
-// open over the same directory, without a reopen, and counts as an adopted
-// hit.
+// TestDiskStoreAdoptsSiblingWrites is the multi-process sharing contract
+// behind an lscatter-served instance and an lscatter-bench -artifact-dir
+// sweep over one directory: an artifact Put through one open store is
+// visible to another store already open over the same directory, without a
+// reopen, and counts as an adopted hit.
 func TestDiskStoreAdoptsSiblingWrites(t *testing.T) {
 	dir := t.TempDir()
 	a := openDisk(t, dir)
@@ -100,9 +102,9 @@ func TestDiskStoreAdoptsSiblingWrites(t *testing.T) {
 }
 
 // TestDiskStoreConcurrentSiblings drives several stores over one directory
-// from concurrent goroutines — the in-process proxy for the multi-process
-// deployment — and requires every body read back intact. Run under -race by
-// `make race`.
+// from concurrent goroutines — the in-process proxy for a server and a
+// sweep writing one directory at once — and requires every body read back
+// intact. Run under -race by `make race`.
 func TestDiskStoreConcurrentSiblings(t *testing.T) {
 	dir := t.TempDir()
 	const stores, keys = 3, 16

@@ -10,8 +10,9 @@ import (
 // fileLock is the advisory cross-process lock on the artifact directory:
 // flock(2) on a dedicated .lock file. It is held only for the duration of a
 // mutation, never at rest, so any number of stores — in one process or many
-// — interleave without deadlock. flock is advisory: it serializes stores
-// that opt in, which every DiskStore does, and costs nothing else.
+// (a server and a sweep sharing one directory) — interleave without
+// deadlock. flock is advisory: it serializes stores that opt in, which every
+// DiskStore does, and costs nothing else.
 type fileLock struct{ f *os.File }
 
 func openFileLock(path string) (*fileLock, error) {

@@ -1,17 +1,17 @@
 // Package store is the shared content-addressed artifact store under every
-// execution surface: the serve.Manager result cache, the checkpointed
-// lscatter-bench sweeps and the lscatter-worker shards all persist finished
-// artifact bodies here, keyed by (content hash, seed).
+// execution surface: the serve.Manager result cache and the checkpointed
+// lscatter-bench sweeps both persist finished artifact bodies here, keyed by
+// (content hash, seed).
 //
 // The package has two layers. Memory is a bounded in-process LRU over result
 // bodies. DiskStore is the durable layer: one self-describing LSCATART file
 // per artifact (fixed header carrying the key, the body length and a SHA-256
 // of the body), atomic temp+fsync+rename writes, quarantine-on-corruption
 // and byte-budget LRU eviction. An advisory file lock (lock_unix.go)
-// serializes mutations so several processes — a server plus a sweep, or a
-// fleet of lscatter-worker shards — can share one artifact directory; a Get
-// that misses the in-memory index probes the canonical file name on disk and
-// adopts artifacts written by sibling processes.
+// serializes mutations so several processes — an lscatter-served instance
+// plus an lscatter-bench -artifact-dir sweep — can share one artifact
+// directory; a Get that misses the in-memory index probes the canonical file
+// name on disk and adopts artifacts written by sibling processes.
 //
 // Identical keys denote identical computations — every runner in this
 // repository is deterministic in (content, seed) — so a stored body can be

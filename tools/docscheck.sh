@@ -1,5 +1,5 @@
 #!/bin/sh
-# docscheck.sh verifies four invariants of the documentation tree:
+# docscheck.sh verifies five invariants of the documentation tree:
 #
 #   1. Every Go package in the module carries a package doc comment: at least
 #      one file per package must open with a "// Package <x>" (libraries) or
@@ -20,6 +20,11 @@
 #      (a top-level func, type, var or const, a method, or a struct field).
 #      Spans inside fenced code blocks, and path components such as
 #      "internal/fleet/sim.go", are not checked.
+#   5. Every docs page a reader is pointed at exists: each "docs/<NAME>.md"
+#      path in the same files and in the comments of non-test Go files, and
+#      each relative markdown link target ending in ".md" in the same files
+#      (resolved from the linking file's directory), must name a file in the
+#      tree. A pointer to a deleted page is a dead end.
 #
 # Usage: sh tools/docscheck.sh   (or: make docs-check)
 set -eu
@@ -183,3 +188,51 @@ if [ -n "$unresolved" ]; then
 fi
 
 echo "docscheck: OK — every pkg.Name the docs cite is declared"
+
+# --- docs pages cited by path -------------------------------------------
+# Each candidate is printed as "<where>\t<path from the repo root>"; only the
+# text after "//" on a Go line counts, so string literals are not scanned.
+gofiles=$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print)
+dangling=$(
+    {
+        # shellcheck disable=SC2086 # $docs is a word list with a glob.
+        awk '
+            {
+                line = $0
+                while (match(line, /docs\/[A-Za-z0-9_.-]+\.md/)) {
+                    print FILENAME ":" FNR "\t" substr(line, RSTART, RLENGTH)
+                    line = substr(line, RSTART + RLENGTH)
+                }
+                dir = FILENAME
+                if (!sub(/\/[^\/]*$/, "", dir)) dir = "."
+                line = $0
+                while (match(line, /\]\([^)#:]+\.md[)#]/)) {
+                    print FILENAME ":" FNR "\t" dir "/" substr(line, RSTART + 2, RLENGTH - 3)
+                    line = substr(line, RSTART + RLENGTH)
+                }
+            }' $docs
+        # shellcheck disable=SC2086 # $gofiles is a word list of paths.
+        awk '
+            {
+                c = index($0, "//")
+                if (c == 0) next
+                line = substr($0, c)
+                while (match(line, /docs\/[A-Za-z0-9_.-]+\.md/)) {
+                    print FILENAME ":" FNR "\t" substr(line, RSTART, RLENGTH)
+                    line = substr(line, RSTART + RLENGTH)
+                }
+            }' $gofiles
+    } |
+    while IFS="$(printf '\t')" read -r where path; do
+        [ -f "$path" ] || echo "$where: $path"
+    done
+)
+
+if [ -n "$dangling" ]; then
+    echo "docscheck: docs and comments cite pages that do not exist:" >&2
+    echo "$dangling" | sed 's/^/  /' >&2
+    echo "docscheck: FAILED — point the reference at an existing page or drop it" >&2
+    exit 1
+fi
+
+echo "docscheck: OK — every cited docs page exists"

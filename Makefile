@@ -30,8 +30,9 @@ vet:
 	if [ -n "$$unformatted" ]; then echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 # Every package and command must carry a doc comment, every docs page must be
-# reachable from README.md, every `make <target>` the docs name must exist, and
-# every backticked pkg.Name they cite must be declared (see tools/docscheck.sh).
+# reachable from README.md, every `make <target>` the docs name must exist,
+# every backticked pkg.Name they cite must be declared, and every docs page and
+# internal/ path they cite must exist (see tools/docscheck.sh).
 docs-check:
 	sh tools/docscheck.sh
 

@@ -11,10 +11,11 @@
 //	lscatter-bench -rtf [-metrics out.json]
 //
 // With -all, artifacts run on a worker pool (-parallel N; 0 selects NumCPU,
-// 1 — the default — is sequential). The output is deterministic: each
-// artifact's seed derives from -seed and its ID, so any worker count prints
-// identical tables. -metrics writes a JSON report of per-artifact wall time,
-// allocations and waveform-cache hit rate; see docs/BENCHMARKS.md.
+// 1 — the default — is sequential; the pool never exceeds the registry). The
+// output is deterministic: each artifact's seed derives from -seed and its
+// ID, so any worker count prints identical tables. -metrics writes a JSON
+// report of the pool size actually used and per-artifact wall time,
+// allocations and waveform-cache counters; see docs/BENCHMARKS.md.
 //
 // -artifact-dir checkpoints every finished artifact into a durable
 // content-addressed store as the sweep runs; -resume additionally restores
@@ -43,7 +44,8 @@
 // -fleet, -list, -all, -id (or -impair) and -rtf each select one run mode,
 // and at most one may be given; the exceptions are -rtf, which composes with
 // -all, and -impair -id R1, which names the same sweep twice. Positional
-// arguments are rejected.
+// arguments are rejected, and so is -metrics with -fleet or -list, which
+// write no report.
 package main
 
 import (
@@ -55,7 +57,6 @@ import (
 	"strings"
 	"time"
 
-	"lscatter/internal/exec"
 	"lscatter/internal/experiments"
 	"lscatter/internal/fleet"
 	"lscatter/internal/store"
@@ -68,11 +69,15 @@ func usageError(format string, args ...any) {
 	os.Exit(2)
 }
 
-// validateModes rejects positional arguments, which no mode reads, and a
-// request for more than one run mode, which would silently run only one.
-func validateModes(args []string, fleetRun, list, all, rtf, impair bool, id string) error {
+// validateModes rejects positional arguments, which no mode reads, a
+// request for more than one run mode, which would silently run only one,
+// and -metrics with a mode that writes no report.
+func validateModes(args []string, fleetRun, list, all, rtf, impair bool, id string, metrics bool) error {
 	if len(args) > 0 {
 		return fmt.Errorf("unexpected arguments: %v", args)
+	}
+	if metrics && (fleetRun || list) {
+		return fmt.Errorf("-metrics applies to -all, -id/-impair and -rtf, not to -fleet or -list")
 	}
 	if impair && id != "" && id != "R1" {
 		return fmt.Errorf("-impair runs -id R1; it cannot be combined with -id %s", id)
@@ -137,7 +142,7 @@ func main() {
 
 	// Flag combinations are validated up front, so a misconfigured sweep
 	// fails with a usage error before any artifact computes.
-	if err := validateModes(flag.Args(), *fleetRun, *list, *all, *rtf, *impaired, *id); err != nil {
+	if err := validateModes(flag.Args(), *fleetRun, *list, *all, *rtf, *impaired, *id, *metrics != ""); err != nil {
 		usageError("%v", err)
 	}
 	if *parallel < 0 {
@@ -201,41 +206,33 @@ func main() {
 	case *list:
 		fmt.Println(strings.Join(experiments.IDs(), "\n"))
 	case *all:
-		// The executor stack, innermost out: the local registry pool,
-		// wrapped in a checkpointing layer when -artifact-dir is set. Output
-		// is byte-identical either way — the determinism contract RunAllOn
-		// documents.
-		var ex exec.Executor = experiments.ExecRunner()
-		var ckpt *exec.Checkpointed
-		if *artifactDir != "" {
+		var (
+			results []*experiments.Result
+			err     error
+		)
+		start := time.Now()
+		if *artifactDir == "" {
+			results, err = experiments.RunAll(context.Background(), *seed, *parallel)
+		} else {
 			logf := func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
 			}
-			st, err := store.Open(*artifactDir, 0, logf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+			st, openErr := store.Open(*artifactDir, 0, logf)
+			if openErr != nil {
+				fmt.Fprintln(os.Stderr, openErr)
 				os.Exit(1)
 			}
-			ckpt = &exec.Checkpointed{
-				Inner:  ex,
-				Store:  st,
-				Resume: *resume,
-			}
-			ex = ckpt
+			var cs experiments.CheckpointStats
+			results, cs, err = experiments.RunAllCheckpointed(context.Background(), *seed, *parallel, st, *resume)
+			// Stderr, so stdout stays byte-identical with or without a store.
+			fmt.Fprintf(os.Stderr, "checkpoint: computed %d, restored %d (store %s)\n",
+				cs.Computed, cs.Restored, *artifactDir)
 		}
-		start := time.Now()
-		results, err := experiments.RunAllOn(context.Background(), ex, *seed, *parallel)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		wall := time.Since(start)
-		if ckpt != nil {
-			// Stderr, so stdout stays byte-identical across executors.
-			computed, restored := ckpt.Stats()
-			fmt.Fprintf(os.Stderr, "checkpoint: computed %d, restored %d (store %s)\n",
-				computed, restored, *artifactDir)
-		}
 		for _, res := range results {
 			fmt.Println(res.Render())
 		}
@@ -244,7 +241,7 @@ func main() {
 			rtfRep = runRTF()
 		}
 		if *metrics != "" {
-			rep := experiments.BuildReport(*seed, *parallel, wall, results)
+			rep := experiments.BuildReport(*seed, experiments.PoolSize(*parallel), wall, results)
 			rep.RTF = rtfRep
 			if err := rep.WriteFile(*metrics); err != nil {
 				fmt.Fprintf(os.Stderr, "writing metrics: %v\n", err)

@@ -14,6 +14,7 @@ func TestValidateModes(t *testing.T) {
 		args                          []string
 		fleet, list, all, rtf, impair bool
 		id                            string
+		metrics                       bool
 		want                          string // substring of the error; "" means valid
 	}{
 		{name: "no mode"},
@@ -36,8 +37,14 @@ func TestValidateModes(t *testing.T) {
 		{name: "rtf with id", rtf: true, id: "F23", want: "mutually exclusive"},
 		{name: "rtf with list", rtf: true, list: true, want: "mutually exclusive"},
 		{name: "impair with id F23", impair: true, id: "F23", want: "-impair"},
+		{name: "all with metrics", all: true, metrics: true},
+		{name: "id with metrics", id: "T1", metrics: true},
+		{name: "impair with metrics", impair: true, metrics: true},
+		{name: "rtf with metrics", rtf: true, metrics: true},
+		{name: "list with metrics", list: true, metrics: true, want: "-metrics"},
+		{name: "fleet with metrics", fleet: true, metrics: true, want: "-metrics"},
 	} {
-		err := validateModes(tc.args, tc.fleet, tc.list, tc.all, tc.rtf, tc.impair, tc.id)
+		err := validateModes(tc.args, tc.fleet, tc.list, tc.all, tc.rtf, tc.impair, tc.id, tc.metrics)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: unexpected error %v", tc.name, err)

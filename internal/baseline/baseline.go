@@ -30,26 +30,11 @@ type Report struct {
 	ThroughputBps float64
 }
 
-// fadePower draws a unit-mean power fade (Ricean K=7 dB when los).
-func fadePower(r *rng.Source, los bool) float64 {
-	if los {
-		k := math.Pow(10, 0.7)
-		s := math.Sqrt(k / (k + 1))
-		sigma := math.Sqrt(1 / (2 * (k + 1)))
-		re := s + sigma*r.NormFloat64()
-		im := sigma * r.NormFloat64()
-		return re*re + im*im
-	}
-	re := r.NormFloat64() / math.Sqrt2
-	im := r.NormFloat64() / math.Sqrt2
-	return re*re + im*im
-}
-
 // riceanBER Monte-Carlos the BPSK BER at mean Eb/N0 gamma under link fading.
 func riceanBER(r *rng.Source, gamma float64, los bool, trials int) float64 {
 	var sum float64
 	for i := 0; i < trials; i++ {
-		sum += stats.BERFromSNR(gamma * fadePower(r, los))
+		sum += stats.BERFromSNR(gamma * channel.FadePower(r, los))
 	}
 	return sum / float64(trials)
 }

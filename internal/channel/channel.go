@@ -218,6 +218,23 @@ func (m *Multipath) Apply(x []complex128) []complex128 {
 	return out
 }
 
+// FadePower draws a unit-mean power fade: Ricean with K = 7 dB when los,
+// Rayleigh otherwise. It is the flat link fade of the semi-analytic models,
+// which Monte-Carlo their BER over it; each call draws two normals from r.
+func FadePower(r *rng.Source, los bool) float64 {
+	if los {
+		k := math.Pow(10, 0.7)
+		s := math.Sqrt(k / (k + 1))
+		sigma := math.Sqrt(1 / (2 * (k + 1)))
+		re := s + sigma*r.NormFloat64()
+		im := sigma * r.NormFloat64()
+		return re*re + im*im
+	}
+	re := r.NormFloat64() / math.Sqrt2
+	im := r.NormFloat64() / math.Sqrt2
+	return re*re + im*im
+}
+
 // Hop is one radio propagation segment with its geometry and fading state.
 type Hop struct {
 	PL       PathLoss

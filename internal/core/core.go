@@ -271,7 +271,7 @@ func runSemiAnalytic(cfg LinkConfig) LinkReport {
 	var berSum float64
 	var syncOK int
 	for i := 0; i < trials; i++ {
-		fade := fadePower(r, cfg.LoS)
+		fade := channel.FadePower(r, cfg.LoS)
 		g := gammaMean * fade
 		// Per-unit exponential energy folded analytically (Rayleigh BPSK).
 		berSum += 0.5 * (1 - math.Sqrt(g/(1+g)))
@@ -291,22 +291,6 @@ func runSemiAnalytic(cfg LinkConfig) LinkReport {
 	syncFrac := float64(syncOK) / trials
 	rep.ThroughputBps = rep.RawRateBps * (1 - rep.BER) * syncFrac
 	return rep
-}
-
-// fadePower draws a power fade: Ricean with K=7 dB for LoS, Rayleigh for
-// NLoS, unit mean.
-func fadePower(r *rng.Source, los bool) float64 {
-	if los {
-		k := math.Pow(10, 7.0/10)
-		s := math.Sqrt(k / (k + 1))
-		sigma := math.Sqrt(1 / (2 * (k + 1)))
-		re := s + sigma*r.NormFloat64()
-		im := sigma * r.NormFloat64()
-		return re*re + im*im
-	}
-	re := r.NormFloat64() / math.Sqrt2
-	im := r.NormFloat64() / math.Sqrt2
-	return re*re + im*im
 }
 
 // runExact evaluates the bit-true chain: it translates the LinkConfig's

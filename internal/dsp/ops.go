@@ -143,12 +143,3 @@ func Conj(x []complex128) []complex128 {
 	}
 	return x
 }
-
-// Magnitudes returns |x[i]| for every sample in a fresh slice.
-func Magnitudes(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
-}

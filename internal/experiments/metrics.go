@@ -42,15 +42,6 @@ type RunMetrics struct {
 	Rows int `json:"rows"`
 }
 
-// CacheHitRate returns the artifact's waveform-cache hit rate in [0, 1].
-func (m *RunMetrics) CacheHitRate() float64 {
-	total := m.CacheHits + m.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(m.CacheHits) / float64(total)
-}
-
 // runInstrumented executes one runner and attaches RunMetrics to its Result.
 func runInstrumented(id string, run Runner, seed uint64, worker int) *Result {
 	var msBefore runtime.MemStats
@@ -96,7 +87,8 @@ type CacheReport struct {
 type Report struct {
 	// Seed is the master seed (per-artifact seeds derive from it).
 	Seed uint64 `json:"seed"`
-	// Workers is the pool size used (1 = sequential).
+	// Workers is the pool size used (1 = sequential); for RunAll, PoolSize of
+	// the requested count.
 	Workers int `json:"workers"`
 	// GoMaxProcs records the scheduler width the run had available.
 	GoMaxProcs int `json:"gomaxprocs"`

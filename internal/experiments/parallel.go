@@ -1,6 +1,10 @@
 package experiments
 
-import "context"
+import (
+	"context"
+	"runtime"
+	"sync"
+)
 
 // DeriveSeed maps the harness master seed to the per-artifact seed used by
 // All and RunAll: the master seed XORed with an FNV-1a hash of the artifact
@@ -22,20 +26,113 @@ func DeriveSeed(seed uint64, id string) uint64 {
 	return seed ^ h
 }
 
-// RunAll regenerates every registered artifact using a pool of workers and
-// returns the results in ID order, each with RunMetrics attached. It is the
-// thin adapter over the execution layer: ExecRunner submitted
-// in-process through RunAllOn — the same stack `lscatter-bench` extends
-// with checkpointing (-artifact-dir/-resume).
+// job is one artifact of a sweep: its ID plus the seed its runner receives
+// verbatim. The pair fully determines the Result's rows.
+type job struct {
+	id   string
+	seed uint64
+}
+
+// sweepJobs lists the registry in canonical ID order, each artifact carrying
+// its DeriveSeed seed.
+func sweepJobs(seed uint64) []job {
+	ids := IDs()
+	jobs := make([]job, len(ids))
+	for i, id := range ids {
+		jobs[i] = job{id: id, seed: DeriveSeed(seed, id)}
+	}
+	return jobs
+}
+
+// runFunc computes one job on a pool slot. The slot is recorded in
+// RunMetrics and never influences the Result.
+type runFunc func(j job, worker int) (*Result, error)
+
+// runRegistry is the runFunc every sweep bottoms out in: the artifact's
+// registered runner, instrumented.
+func runRegistry(j job, worker int) (*Result, error) {
+	return runInstrumented(j.id, registry[j.id], j.seed, worker), nil
+}
+
+// PoolSize is the number of workers RunAll runs for a requested count:
+// NumCPU when workers <= 0, and never more than the registry holds.
+func PoolSize(workers int) int { return poolSize(workers, len(registry)) }
+
+func poolSize(workers, jobs int) int {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	return min(workers, jobs)
+}
+
+// runPool runs every job on poolSize(workers, len(jobs)) goroutines and
+// returns the results in job order, whatever the completion order.
 //
-// workers <= 0 selects runtime.NumCPU(); the pool is never larger than the
-// registry. Determinism is unconditional: for any worker count and any
-// executor, artifact id runs with DeriveSeed(seed, id) and runners share no
-// mutable state, so Result.Rows are byte-identical to All(seed). If ctx is
-// cancelled, RunAll stops dispatching, waits for in-flight runners, and
-// returns the partial results (unrun artifacts are nil) alongside ctx.Err().
+// If ctx is cancelled, runPool stops dispatching, waits for in-flight jobs
+// and returns the partial results (unrun jobs are nil) alongside ctx.Err().
+// If a job fails, it stops dispatching and returns the partial results with
+// the first error; that job's slot is nil.
+func runPool(ctx context.Context, jobs []job, run runFunc, workers int) ([]*Result, error) {
+	results := make([]*Result, len(jobs))
+	feed := make(chan int)
+	stop := make(chan struct{})
+	var stopOnce sync.Once
+	var mu sync.Mutex
+	var firstErr error
+
+	var wg sync.WaitGroup
+	for w := 0; w < poolSize(workers, len(jobs)); w++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			for i := range feed {
+				res, err := run(jobs[i], worker)
+				if err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					stopOnce.Do(func() { close(stop) })
+					continue
+				}
+				results[i] = res
+			}
+		}(w)
+	}
+
+dispatch:
+	for i := range jobs {
+		if ctx.Err() != nil {
+			break
+		}
+		select {
+		case feed <- i:
+		case <-ctx.Done():
+			break dispatch
+		case <-stop:
+			break dispatch
+		}
+	}
+	close(feed)
+	wg.Wait()
+	if firstErr != nil {
+		return results, firstErr
+	}
+	return results, ctx.Err()
+}
+
+// RunAll regenerates every registered artifact on a pool of PoolSize(workers)
+// goroutines and returns the results in ID order, each with RunMetrics
+// attached. RunAllCheckpointed is the same sweep with a durable checkpoint.
+//
+// Determinism is unconditional: for any worker count, artifact id runs with
+// DeriveSeed(seed, id) and runners share no mutable state, so Result.Rows
+// are byte-identical to All(seed). If ctx is cancelled, RunAll stops
+// dispatching, waits for in-flight runners, and returns the partial results
+// (unrun artifacts are nil) alongside ctx.Err().
 func RunAll(ctx context.Context, seed uint64, workers int) ([]*Result, error) {
-	return RunAllOn(ctx, ExecRunner(), seed, workers)
+	return runPool(ctx, sweepJobs(seed), runRegistry, workers)
 }
 
 // RunOne regenerates a single artifact with the seed taken verbatim (no

@@ -3,9 +3,14 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -45,6 +50,121 @@ func pooledSweep(t *testing.T) []*Result {
 		t.Fatal(poolErr)
 	}
 	return poolSweep
+}
+
+// fakeRun is the synthetic runner the pool and checkpoint tests share: the
+// Result depends only on the job, like every registered runner's.
+func fakeRun(j job, worker int) (*Result, error) {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|%d", j.id, j.seed)))
+	return &Result{
+		ID:     j.id,
+		Title:  "synthetic",
+		Header: []string{"seed", "digest"},
+		Rows:   [][]string{{fmt.Sprint(j.seed), fmt.Sprintf("%x", sum[:8])}},
+	}, nil
+}
+
+func fakeJobs(n int) []job {
+	jobs := make([]job, n)
+	for i := range jobs {
+		jobs[i] = job{id: fmt.Sprintf("J%02d", i), seed: uint64(1000 + i)}
+	}
+	return jobs
+}
+
+// requireSameRenders fails unless got and want render identically, slot by
+// slot.
+func requireSameRenders(t *testing.T, got, want []*Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] == nil || got[i].Render() != want[i].Render() {
+			t.Fatalf("result %d differs:\n%v\nvs\n%v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestPoolDeterministicAcrossWorkerCounts pins the pool's core contract:
+// identical results in identical order at any worker count.
+func TestPoolDeterministicAcrossWorkerCounts(t *testing.T) {
+	jobs := fakeJobs(17)
+	want, err := runPool(context.Background(), jobs, fakeRun, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 2, 4, 17, 99} {
+		got, err := runPool(context.Background(), jobs, fakeRun, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		requireSameRenders(t, got, want)
+	}
+}
+
+func TestPoolStopsOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var ran atomic.Int32
+	run := func(j job, worker int) (*Result, error) {
+		if ran.Add(1) == 3 {
+			cancel()
+		}
+		return fakeRun(j, worker)
+	}
+	results, err := runPool(ctx, fakeJobs(64), run, 1)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	nils := 0
+	for _, r := range results {
+		if r == nil {
+			nils++
+		}
+	}
+	if nils == 0 {
+		t.Fatal("cancelled run completed every job")
+	}
+}
+
+func TestPoolStopsOnFirstError(t *testing.T) {
+	boom := errors.New("boom")
+	var ran atomic.Int32
+	run := func(j job, worker int) (*Result, error) {
+		if j.id == "J03" {
+			return nil, boom
+		}
+		ran.Add(1)
+		return fakeRun(j, worker)
+	}
+	results, err := runPool(context.Background(), fakeJobs(64), run, 1)
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if results[3] != nil {
+		t.Fatal("failed job has a result")
+	}
+	if int(ran.Load()) >= 63 {
+		t.Fatal("pool did not stop dispatching after the error")
+	}
+}
+
+// TestPoolSize pins the worker count a `-metrics` report records: NumCPU
+// for a request of 0, never more than the registry holds.
+func TestPoolSize(t *testing.T) {
+	n := len(IDs())
+	for _, tc := range []struct{ req, want int }{
+		{0, min(runtime.NumCPU(), n)},
+		{-1, min(runtime.NumCPU(), n)},
+		{1, 1},
+		{2, 2},
+		{n, n},
+		{99, n},
+	} {
+		if got := PoolSize(tc.req); got != tc.want {
+			t.Errorf("PoolSize(%d) = %d, want %d", tc.req, got, tc.want)
+		}
+	}
 }
 
 func TestDeriveSeedDecorrelatesArtifacts(t *testing.T) {

@@ -1,58 +1,94 @@
+//go:build unix
+
 package experiments
 
 import (
 	"context"
+	"os"
+	osexec "os/exec"
+	"strconv"
+	"sync/atomic"
+	"syscall"
 	"testing"
 
-	"lscatter/internal/exec"
 	"lscatter/internal/store"
 )
 
-// TestRunAllOnCheckpointResume pins the registry-level resume contract the
-// refactor rides on: a sweep checkpointed into a durable store and then
-// resumed from a fresh store open restores every artifact (zero recomputes)
-// and renders byte-identically — Render output is the repository's
-// determinism criterion, so equality here is equality of `-all` stdout.
-func TestRunAllOnCheckpointResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full registry sweep")
-	}
-	const seed = 1
+// TestResumeAfterSIGKILL is the crash half of the resume contract, with a
+// real kill: a subprocess sweep is SIGKILLed after exactly K of N artifacts
+// have been durably checkpointed, then the restarted (in-process) sweep
+// with resume must recompute exactly N−K and produce identical results.
+// The subprocess is this test binary re-exec'd into TestKilledSweepHelper,
+// the same harness shape tools/servedcheck uses for the server's crash
+// story.
+func TestResumeAfterSIGKILL(t *testing.T) {
+	const n, k = 9, 4
 	dir := t.TempDir()
-	st, err := store.Open(dir, 0, t.Logf)
-	if err != nil {
-		t.Fatal(err)
+
+	cmd := osexec.Command(os.Args[0], "-test.run=TestKilledSweepHelper$", "-test.v")
+	cmd.Env = append(os.Environ(),
+		"LSCATTER_RESUME_HELPER=1",
+		"LSCATTER_RESUME_DIR="+dir,
+		"LSCATTER_RESUME_N="+strconv.Itoa(n),
+		"LSCATTER_KILL_AFTER="+strconv.Itoa(k),
+	)
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("helper survived its own SIGKILL; output:\n%s", out)
+	}
+	ee, ok := err.(*osexec.ExitError)
+	if !ok {
+		t.Fatalf("helper failed to start: %v\n%s", err, out)
+	}
+	if ws, ok := ee.Sys().(syscall.WaitStatus); ok && (!ws.Signaled() || ws.Signal() != syscall.SIGKILL) {
+		t.Fatalf("helper exited without SIGKILL: %v\n%s", ee, out)
 	}
 
-	cold := &exec.Checkpointed{Inner: ExecRunner(), Store: st}
-	first, err := RunAllOn(context.Background(), cold, seed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := uint64(len(IDs()))
-	if computed, restored := cold.Stats(); computed != n || restored != 0 {
-		t.Fatalf("cold sweep: computed %d restored %d, want %d and 0", computed, restored, n)
+	// The store must hold exactly the K completed artifacts.
+	st := openStore(t, dir)
+	if got := st.Stats(); got.Entries != k || got.Quarantined != 0 {
+		t.Fatalf("after kill: %+v, want %d clean entries", got, k)
 	}
 
-	// The restart: fresh store open over the same directory, resume on.
-	st2, err := store.Open(dir, 0, t.Logf)
+	// The restarted sweep: resume over the same directory.
+	got, cs, err := runCheckpointed(context.Background(), fakeJobs(n), fakeRun, 2, st, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed := &exec.Checkpointed{Inner: ExecRunner(), Store: st2, Resume: true}
-	second, err := RunAllOn(context.Background(), resumed, seed, 4)
+	if cs != (CheckpointStats{Computed: n - k, Restored: k}) {
+		t.Fatalf("resume: %+v, want %d computed and %d restored", cs, n-k, k)
+	}
+	want, err := runPool(context.Background(), fakeJobs(n), fakeRun, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if computed, restored := resumed.Stats(); computed != 0 || restored != n {
-		t.Fatalf("resumed sweep: computed %d restored %d, want 0 and %d", computed, restored, n)
+	requireSameRenders(t, got, want)
+}
+
+// TestKilledSweepHelper is the subprocess body of TestResumeAfterSIGKILL:
+// it runs a sequential checkpointed sweep and SIGKILLs its own process the
+// moment the (K+1)-th computation starts, so exactly K artifacts are on
+// disk. It skips unless re-exec'd by the parent test.
+func TestKilledSweepHelper(t *testing.T) {
+	if os.Getenv("LSCATTER_RESUME_HELPER") != "1" {
+		t.Skip("subprocess helper; driven by TestResumeAfterSIGKILL")
 	}
-	if len(first) != len(second) {
-		t.Fatalf("result counts differ: %d vs %d", len(first), len(second))
+	dir := os.Getenv("LSCATTER_RESUME_DIR")
+	n, _ := strconv.Atoi(os.Getenv("LSCATTER_RESUME_N"))
+	k, _ := strconv.Atoi(os.Getenv("LSCATTER_KILL_AFTER"))
+	st, err := store.Open(dir, 0, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range first {
-		if first[i].Render() != second[i].Render() {
-			t.Fatalf("artifact %s renders differently after resume", first[i].ID)
+	var started atomic.Int32
+	killer := func(j job, worker int) (*Result, error) {
+		if int(started.Add(1))-1 == k {
+			// K computations have completed and checkpointed; die mid-sweep.
+			_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
+			select {} // unreachable; SIGKILL is not catchable
 		}
+		return fakeRun(j, worker)
 	}
+	_, _, _ = runCheckpointed(context.Background(), fakeJobs(n), killer, 1, st, false)
+	t.Fatal("sweep finished; the kill never fired")
 }

@@ -232,8 +232,8 @@ type Options struct {
 	// DiskMaxBytes bounds the on-disk store (default 256 MiB). Ignored
 	// without ArtifactDir.
 	DiskMaxBytes int64
-	// Logf receives operational log lines (quarantined artifacts, stale
-	// index entries, disk write failures). Defaults to log.Printf.
+	// Logf receives operational log lines (quarantined artifacts, disk
+	// write failures). Defaults to log.Printf.
 	Logf func(format string, args ...any)
 }
 

@@ -5,13 +5,14 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
+	"time"
 )
 
 // The on-disk artifact format: one file per key, a fixed binary header
@@ -36,7 +37,6 @@ const (
 	artifactMagic   = "LSCATART"
 	artifactVersion = 1
 	artifactExt     = ".art"
-	indexFileName   = "index.json"
 	quarantineDir   = "quarantine"
 	maxHashLen      = 64
 )
@@ -110,47 +110,6 @@ func decodeArtifact(data []byte) (Key, []byte, error) {
 	return Key{SpecHash: hash, Seed: seed}, body, nil
 }
 
-// indexDoc is the persisted store index: the keys on disk in LRU order (most
-// recently used first). It is an accelerator and an audit trail, not the
-// source of truth — Open rebuilds it from a directory scan, using the
-// persisted order only to keep eviction recency warm across restarts. A
-// stale entry (file gone or resized) is dropped with one log line.
-type indexDoc struct {
-	Version int          `json:"version"`
-	Entries []indexEntry `json:"entries"`
-}
-
-type indexEntry struct {
-	SpecHash string `json:"spec_hash"`
-	Seed     uint64 `json:"seed"`
-	File     string `json:"file"`
-	Size     int64  `json:"size"`
-}
-
-// decodeIndex parses an index file. Like decodeArtifact it must never panic
-// on arbitrary bytes; a structurally invalid index is an error and the
-// caller falls back to scan order.
-func decodeIndex(data []byte) (*indexDoc, error) {
-	var doc indexDoc
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("index: %w", err)
-	}
-	if doc.Version != artifactVersion {
-		return nil, fmt.Errorf("index: unknown version %d", doc.Version)
-	}
-	for _, e := range doc.Entries {
-		if e.File == "" || e.File != filepath.Base(e.File) || !strings.HasSuffix(e.File, artifactExt) {
-			return nil, fmt.Errorf("index: invalid file name %q", e.File)
-		}
-		if e.Size < 0 {
-			return nil, fmt.Errorf("index: negative size for %q", e.File)
-		}
-	}
-	return &doc, nil
-}
-
 // DiskStore is the durable content-addressed artifact store: artifacts are
 // written through on Put and verified against their checksums on Get, so a
 // process restart pointed at the same directory keeps the cache warm. Total
@@ -163,9 +122,9 @@ func decodeIndex(data []byte) (*indexDoc, error) {
 // so several open stores — including several in one process — interleave
 // freely), every write is an atomic temp+fsync+rename, and a Get that misses
 // the in-memory index probes the canonical file name so artifacts Put by a
-// sibling process are adopted instead of recomputed. The index file is
-// advisory recency; concurrent writers may overwrite each other's index, and
-// the startup scan rebuilds it from the artifact files either way.
+// sibling process are adopted instead of recomputed. The *.art files are the
+// store's only on-disk state: the in-memory index and its LRU order are
+// rebuilt from a directory scan at every open.
 type DiskStore struct {
 	mu       sync.Mutex
 	dir      string
@@ -177,8 +136,7 @@ type DiskStore struct {
 	flock    *fileLock
 
 	hits, misses, puts, evictions uint64
-	quarantined, staleDropped     uint64
-	adopted                       uint64
+	quarantined, adopted          uint64
 }
 
 type diskEntry struct {
@@ -196,7 +154,6 @@ type DiskStats struct {
 	Puts        uint64 `json:"puts"`
 	Evictions   uint64 `json:"evictions"`
 	Quarantined uint64 `json:"quarantined"`
-	StaleIndex  uint64 `json:"stale_index_dropped"`
 	// Adopted counts artifacts discovered on disk after open — written there
 	// by a sibling process sharing the directory — and served as hits.
 	Adopted uint64 `json:"adopted"`
@@ -214,9 +171,9 @@ func FileName(k Key) string {
 // maxBytes <= 0 selects a 256 MiB default. Startup rebuilds the in-memory
 // index by scanning the directory: every *.art file's header is verified
 // (magic, version, key-matches-name, length claim vs file size) and failures
-// are quarantined; the persisted index.json only contributes the LRU recency
-// order. logf receives one line per quarantined file or dropped stale index
-// entry (nil = drop logs).
+// are quarantined; the survivors enter the LRU newest-written first (by file
+// mtime). Other files in dir are ignored. logf receives one line per
+// quarantined file (nil = drop logs).
 func Open(dir string, maxBytes int64, logf func(string, ...any)) (*DiskStore, error) {
 	if maxBytes <= 0 {
 		maxBytes = 256 << 20
@@ -256,17 +213,18 @@ func Open(dir string, maxBytes int64, logf func(string, ...any)) (*DiskStore, er
 func (d *DiskStore) lock()   { d.flock.Lock() }
 func (d *DiskStore) unlock() { d.flock.Unlock() }
 
-// load scans dir, validates headers, applies the persisted recency order and
-// rewrites the index.
+// load scans dir, verifies every artifact header, and fills the LRU
+// newest-written first, then applies the byte budget.
 func (d *DiskStore) load() error {
 	dirents, err := os.ReadDir(d.dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	// Scan: every *.art file with a valid header is a candidate entry.
-	scanned := map[string]diskEntry{}
-	quarantinedNow := map[string]bool{}
-	var scanOrder []string // directory order, the fallback recency
+	type scanned struct {
+		diskEntry
+		mtime time.Time
+	}
+	var found []scanned
 	for _, de := range dirents {
 		name := de.Name()
 		if de.IsDir() || !strings.HasSuffix(name, artifactExt) {
@@ -279,53 +237,18 @@ func (d *DiskStore) load() error {
 		key, err := d.verifyHeader(name, info.Size())
 		if err != nil {
 			d.quarantine(name, err)
-			quarantinedNow[name] = true
 			continue
 		}
-		scanned[name] = diskEntry{key: key, file: name, size: info.Size()}
-		scanOrder = append(scanOrder, name)
+		found = append(found, scanned{diskEntry{key: key, file: name, size: info.Size()}, info.ModTime()})
 	}
-
-	// The persisted index contributes recency only: entries naming files the
-	// scan accepted are replayed in order; stale ones are dropped loudly.
-	var recency []string
-	if raw, err := os.ReadFile(filepath.Join(d.dir, indexFileName)); err == nil {
-		if idx, err := decodeIndex(raw); err != nil {
-			d.logf("store: ignoring unreadable index: %v", err)
-		} else {
-			for _, e := range idx.Entries {
-				se, ok := scanned[e.File]
-				if !ok || se.size != e.Size || se.key.SpecHash != e.SpecHash || se.key.Seed != e.Seed {
-					// A file the scan just quarantined already got its one log
-					// line; its index entry is a casualty, not separate news.
-					if !quarantinedNow[e.File] {
-						d.staleDropped++
-						d.logf("store: dropping stale index entry %s (file missing or changed)", e.File)
-					}
-					continue
-				}
-				recency = append(recency, e.File)
-			}
-		}
-	}
-	inRecency := map[string]bool{}
-	for _, f := range recency {
-		inRecency[f] = true
-	}
-	// Files the index did not order come after the ordered ones (treated as
-	// least recently used among the known, but still present).
-	for _, f := range scanOrder {
-		if !inRecency[f] {
-			recency = append(recency, f)
-		}
-	}
-	for _, f := range recency {
-		e := scanned[f]
+	// Newest first; the stable sort keeps directory order among equal mtimes.
+	sort.SliceStable(found, func(i, j int) bool { return found[i].mtime.After(found[j].mtime) })
+	for i := range found {
+		e := found[i].diskEntry
 		d.entries[e.key] = d.order.PushBack(&e)
 		d.bytes += e.size
 	}
 	d.evictOverLocked()
-	d.writeIndexLocked()
 	return nil
 }
 
@@ -418,7 +341,6 @@ func (d *DiskStore) Get(k Key) ([]byte, bool) {
 	d.bytes -= e.size
 	d.lock()
 	d.quarantine(e.file, err)
-	d.writeIndexLocked()
 	d.unlock()
 	d.misses++
 	return nil, false
@@ -442,7 +364,6 @@ func (d *DiskStore) adoptLocked(k Key) ([]byte, bool) {
 	if err != nil {
 		d.lock()
 		d.quarantine(name, err)
-		d.writeIndexLocked()
 		d.unlock()
 		d.misses++
 		return nil, false
@@ -454,7 +375,6 @@ func (d *DiskStore) adoptLocked(k Key) ([]byte, bool) {
 	d.adopted++
 	d.lock()
 	d.evictOverLocked()
-	d.writeIndexLocked()
 	d.unlock()
 	return body, true
 }
@@ -485,7 +405,6 @@ func (d *DiskStore) Put(k Key, body []byte) {
 	d.bytes += e.size
 	d.puts++
 	d.evictOverLocked()
-	d.writeIndexLocked()
 }
 
 // evictOverLocked removes least-recently-used artifacts until the byte
@@ -502,28 +421,6 @@ func (d *DiskStore) evictOverLocked() {
 	}
 }
 
-// writeIndexLocked persists the current LRU order. Best-effort: the index is
-// rebuilt from a scan on the next startup anyway.
-func (d *DiskStore) writeIndexLocked() {
-	doc := indexDoc{Version: artifactVersion}
-	for el := d.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*diskEntry)
-		doc.Entries = append(doc.Entries, indexEntry{
-			SpecHash: e.key.SpecHash,
-			Seed:     e.key.Seed,
-			File:     e.file,
-			Size:     e.size,
-		})
-	}
-	data, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		return
-	}
-	if err := WriteAtomic(filepath.Join(d.dir, indexFileName), append(data, '\n')); err != nil {
-		d.logf("store: write index: %v", err)
-	}
-}
-
 // Stats returns a consistent snapshot of the disk-store counters.
 func (d *DiskStore) Stats() DiskStats {
 	d.mu.Lock()
@@ -536,7 +433,6 @@ func (d *DiskStore) Stats() DiskStats {
 		Puts:        d.puts,
 		Evictions:   d.evictions,
 		Quarantined: d.quarantined,
-		StaleIndex:  d.staleDropped,
 		Adopted:     d.adopted,
 	}
 }

@@ -2,19 +2,19 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // The tests in this file pin the durable artifact store's crash/corruption
 // story: artifacts survive process boundaries byte-identically, and
-// truncated, bit-flipped, zero-length or stale-indexed files are quarantined
-// and recomputed — never served. The multi-store tests pin the sharing
+// truncated, bit-flipped or zero-length files are quarantined and
+// recomputed — never served. The multi-store tests pin the sharing
 // story that lets a server and a sweep use one directory: a store adopts
 // artifacts a sibling wrote into the same directory.
 
@@ -43,7 +43,11 @@ func TestDiskStoreRoundTripAcrossOpens(t *testing.T) {
 	}
 
 	// A second open over the same directory — the restart — must serve the
-	// identical bytes from the scanned file.
+	// identical bytes from the scanned file. A file that is not *.art, such
+	// as the JSON index older store builds kept, is ignored.
+	if err := os.WriteFile(filepath.Join(dir, "leftover.json"), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	d2 := openDisk(t, dir)
 	got, ok := d2.Get(k)
 	if !ok {
@@ -232,66 +236,42 @@ func TestDiskStoreCorruptionRecovery(t *testing.T) {
 	}
 }
 
-func TestDiskStoreStaleIndexEntry(t *testing.T) {
+// TestDiskStoreRestartEvictsOldestWrite pins the recency a reopened store
+// starts from: file modification time, newest first, so a smaller budget
+// evicts the oldest-written artifacts. Keys are written in file-name order,
+// so a store that kept the scan's name order would evict the newest instead.
+func TestDiskStoreRestartEvictsOldestWrite(t *testing.T) {
 	dir := t.TempDir()
+	body := bytes.Repeat([]byte("a"), 1024)
 	d1 := openDisk(t, dir)
-	d1.Put(testKey(1), []byte("one\n"))
+	base := time.Now().Add(-time.Hour)
+	for i, seed := range []uint64{0, 1, 2, 3, 4, 5} {
+		d1.Put(testKey(seed), body)
+		// Back-to-back writes can share a coarse file timestamp; pin one
+		// second between them, as a sweep writing an artifact a second would.
+		mtime := base.Add(time.Duration(i) * time.Second)
+		if err := os.Chtimes(filepath.Join(dir, FileName(testKey(seed))), mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	// Corrupt the index by hand: add an entry for a file that does not
-	// exist, mimicking a crash between index write and artifact loss.
-	raw, err := os.ReadFile(filepath.Join(dir, indexFileName))
+	// Budget for roughly three artifacts (header ≈ 80 bytes each).
+	d2, err := Open(dir, 3*1200, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var idx indexDoc
-	if err := json.Unmarshal(raw, &idx); err != nil {
-		t.Fatal(err)
+	if st := d2.Stats(); st.Entries != 3 || st.Evictions != 3 {
+		t.Fatalf("reopen under a smaller budget: %+v, want 3 entries and 3 evictions", st)
 	}
-	idx.Entries = append(idx.Entries, indexEntry{
-		SpecHash: "feedfacefeedface",
-		Seed:     99,
-		File:     "feedfacefeedface-0000000000000063.art",
-		Size:     1234,
-	})
-	out, _ := json.Marshal(&idx)
-	if err := os.WriteFile(filepath.Join(dir, indexFileName), out, 0o644); err != nil {
-		t.Fatal(err)
+	for _, seed := range []uint64{0, 1, 2} {
+		if _, err := os.Stat(filepath.Join(dir, FileName(testKey(seed)))); !os.IsNotExist(err) {
+			t.Fatalf("oldest-written seed %d survived the smaller budget: %v", seed, err)
+		}
 	}
-
-	var logged []string
-	d2, err := Open(dir, 0, func(format string, args ...any) {
-		logged = append(logged, format)
-	})
-	if err != nil {
-		t.Fatalf("server must start over a stale index: %v", err)
-	}
-	st := d2.Stats()
-	if st.StaleIndex != 1 {
-		t.Fatalf("stale dropped %d, want 1: %+v", st.StaleIndex, st)
-	}
-	if len(logged) != 1 {
-		t.Fatalf("logged %d lines, want exactly 1: %v", len(logged), logged)
-	}
-	// The real artifact survives the stale neighbor.
-	if got, ok := d2.Get(testKey(1)); !ok || !bytes.Equal(got, []byte("one\n")) {
-		t.Fatalf("live artifact lost: %q, %v", got, ok)
-	}
-	// Missing key recomputes on demand (a miss, not an error).
-	if _, ok := d2.Get(Key{SpecHash: "feedfacefeedface", Seed: 99}); ok {
-		t.Fatal("stale index entry served a body")
-	}
-}
-
-func TestDiskStoreUnreadableIndexFallsBackToScan(t *testing.T) {
-	dir := t.TempDir()
-	d1 := openDisk(t, dir)
-	d1.Put(testKey(5), []byte("five\n"))
-	if err := os.WriteFile(filepath.Join(dir, indexFileName), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d2 := openDisk(t, dir)
-	if got, ok := d2.Get(testKey(5)); !ok || !bytes.Equal(got, []byte("five\n")) {
-		t.Fatalf("scan fallback lost the artifact: %q, %v", got, ok)
+	for _, seed := range []uint64{3, 4, 5} {
+		if _, ok := d2.Get(testKey(seed)); !ok {
+			t.Fatalf("newer seed %d was evicted before an older write", seed)
+		}
 	}
 }
 
@@ -356,10 +336,9 @@ func TestWriteAtomicReplaces(t *testing.T) {
 }
 
 // FuzzArtifactDecode holds the never-panic line on the on-disk artifact
-// header and index formats — the surface a crashed or hostile writer can
-// hand the startup scan. Accepted artifacts must round-trip byte-exactly
-// (decode is strict, encode is canonical); accepted indexes must re-encode
-// cleanly.
+// format — the surface a crashed or hostile writer can hand the startup
+// scan. Accepted artifacts must round-trip byte-exactly (decode is strict,
+// encode is canonical).
 func FuzzArtifactDecode(f *testing.F) {
 	valid := encodeArtifact(testKey(3), []byte(`{"ok":true}`))
 	f.Add(valid)
@@ -371,6 +350,7 @@ func FuzzArtifactDecode(f *testing.F) {
 	flip := append([]byte(nil), valid...)
 	flip[len(flip)-2] ^= 0x01
 	f.Add(flip) // checksum mismatch
+	// JSON, such as a leftover index file from an older store layout.
 	f.Add([]byte(`{"version":1,"entries":[{"spec_hash":"0123456789abcdef","seed":3,"file":"0123456789abcdef-0000000000000003.art","size":95}]}`))
 	f.Add([]byte(`{"version":99,"entries":[]}`))
 	f.Add([]byte(`{"version":1,"entries":[{"file":"../../etc/passwd.art"}]}`))
@@ -381,14 +361,6 @@ func FuzzArtifactDecode(f *testing.F) {
 			re := encodeArtifact(k, body)
 			if !bytes.Equal(re, data) {
 				t.Fatalf("artifact round-trip not canonical:\n%x\nvs\n%x", re, data)
-			}
-		}
-		idx, err := decodeIndex(data)
-		if err == nil {
-			for _, e := range idx.Entries {
-				if e.File != filepath.Base(e.File) {
-					t.Fatalf("accepted index entry escapes the store dir: %q", e.File)
-				}
 			}
 		}
 	})

@@ -21,11 +21,6 @@ const (
 	SSB
 )
 
-// PreambleLen is the number of bits in the per-burst preamble: exactly one
-// symbol's worth of useful modulation units at 20 MHz. At narrower
-// bandwidths the preamble is truncated to the per-symbol bit count.
-const PreambleLen = 1200
-
 // Preamble returns the pre-defined preamble bit pattern for n bits: a fixed
 // PRBS-15 segment known to both tag and UE (§3.3.2). Equivalent to
 // PreambleFor(0, n).

@@ -1,5 +1,5 @@
 #!/bin/sh
-# docscheck.sh verifies five invariants of the documentation tree:
+# docscheck.sh verifies six invariants of the documentation tree:
 #
 #   1. Every Go package in the module carries a package doc comment: at least
 #      one file per package must open with a "// Package <x>" (libraries) or
@@ -25,6 +25,11 @@
 #      each relative markdown link target ending in ".md" in the same files
 #      (resolved from the linking file's directory), must name a file in the
 #      tree. A pointer to a deleted page is a dead end.
+#   6. Every source path a reader is pointed at exists: each "internal/<path>"
+#      in the same files and in the comments of non-test Go files (trailing
+#      dots dropped) must name a directory or file in the tree. Invariant 4
+#      skips identifiers of packages that no longer exist, so this is what
+#      catches a citation of a deleted package.
 #
 # Usage: sh tools/docscheck.sh   (or: make docs-check)
 set -eu
@@ -236,3 +241,43 @@ if [ -n "$dangling" ]; then
 fi
 
 echo "docscheck: OK — every cited docs page exists"
+
+# --- source paths cited by the docs and comments -------------------------
+# Same sources as above; a trailing "." ends a sentence, not the path.
+stale=$(
+    {
+        # shellcheck disable=SC2086 # $docs is a word list with a glob.
+        awk '
+            {
+                line = $0
+                while (match(line, /internal\/[A-Za-z0-9_][A-Za-z0-9_.\/-]*/)) {
+                    print FILENAME ":" FNR "\t" substr(line, RSTART, RLENGTH)
+                    line = substr(line, RSTART + RLENGTH)
+                }
+            }' $docs
+        # shellcheck disable=SC2086 # $gofiles is a word list of paths.
+        awk '
+            {
+                c = index($0, "//")
+                if (c == 0) next
+                line = substr($0, c)
+                while (match(line, /internal\/[A-Za-z0-9_][A-Za-z0-9_.\/-]*/)) {
+                    print FILENAME ":" FNR "\t" substr(line, RSTART, RLENGTH)
+                    line = substr(line, RSTART + RLENGTH)
+                }
+            }' $gofiles
+    } |
+    while IFS="$(printf '\t')" read -r where path; do
+        path=$(printf '%s' "$path" | sed 's/\.*$//')
+        [ -e "$path" ] || echo "$where: $path"
+    done
+)
+
+if [ -n "$stale" ]; then
+    echo "docscheck: docs and comments cite source paths that do not exist:" >&2
+    echo "$stale" | sed 's/^/  /' >&2
+    echo "docscheck: FAILED — point the reference at an existing path or drop it" >&2
+    exit 1
+fi
+
+echo "docscheck: OK — every cited internal/ path exists"

@@ -38,7 +38,8 @@ docs-check:
 
 # 30 seconds of native fuzzing per target on top of the committed corpora
 # (testdata/fuzz/). The receiver and the frame decoder must never panic on
-# arbitrary input; see docs/RESILIENCE.md.
+# arbitrary input, and the fast DSP kernels must match their references (see
+# docs/RESILIENCE.md).
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/ue -run='^$$' -fuzz=FuzzCellSearch -fuzztime=$(FUZZTIME)
@@ -46,6 +47,8 @@ fuzz-smoke:
 	$(GO) test ./internal/scatterframe -run='^$$' -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/scatterframe -run='^$$' -fuzz=FuzzDecodeSoft -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dsp -run='^$$' -fuzz=FuzzCorrelatorEquivalence -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/dsp -run='^$$' -fuzz=FuzzFIREquivalence -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/bits -run='^$$' -fuzz=FuzzViterbiEquivalence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzSpecDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/store -run='^$$' -fuzz=FuzzArtifactDecode -fuzztime=$(FUZZTIME)
 

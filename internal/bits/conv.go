@@ -15,20 +15,17 @@ type ConvCode struct {
 	punct []bool // puncturing pattern over the rate-3 output, true=keep
 	kept  int    // kept bits per pattern period
 
-	// branches[s][in] is the trellis branch leaving state s on input bit in.
-	// Built once at construction and read-only after, so a single codec is
-	// safe for concurrent decodes.
-	branches [numStates][2]branch
+	// expect[ns][p] holds the expected +1/-1 outputs (LLR sign convention)
+	// per kept bit on the branch into state ns from its predecessor p: 0 is
+	// the lower predecessor ns>>1, 1 the upper ns>>1|32, both on input bit
+	// ns&1. Built once at construction and read-only after, so a single
+	// codec is safe for concurrent decodes.
+	expect [numStates][2][3]float64
 }
 
 const constraintLen = 7
 
 const numStates = 1 << (constraintLen - 1) // 64
-
-type branch struct {
-	next uint32
-	out  []float64 // expected +1/-1 per kept bit (LLR sign convention)
-}
 
 // NewConvCodeR13 returns the rate-1/3 K=7 code.
 func NewConvCodeR13() *ConvCode {
@@ -45,12 +42,13 @@ func NewConvCodeR12() *ConvCode {
 	return c
 }
 
-// initBranches precomputes the expected outputs for each (state, input).
+// initBranches precomputes the expected outputs of every trellis branch,
+// indexed by destination state and predecessor.
 func (c *ConvCode) initBranches() {
-	for s := uint32(0); s < numStates; s++ {
-		for in := uint32(0); in < 2; in++ {
-			reg := (s<<1 | in) & 0x7f
-			outs := make([]float64, 0, c.kept)
+	for ns := uint32(0); ns < numStates; ns++ {
+		for p := uint32(0); p < 2; p++ {
+			reg := p<<6 | ns // predecessor (ns>>1 | p<<5) shifted left, plus input ns&1
+			k := 0
 			for g := 0; g < c.rate; g++ {
 				if !c.punct[g] {
 					continue
@@ -60,12 +58,12 @@ func (c *ConvCode) initBranches() {
 				v ^= v >> 2
 				v ^= v >> 1
 				if v&1 == 1 {
-					outs = append(outs, -1)
+					c.expect[ns][p][k] = -1
 				} else {
-					outs = append(outs, 1)
+					c.expect[ns][p][k] = 1
 				}
+				k++
 			}
-			c.branches[s][in] = branch{next: reg & (numStates - 1), out: outs}
 		}
 	}
 }
@@ -150,37 +148,59 @@ func (c *ConvCode) DecodeSoft(llr []float64) []byte {
 	}
 	// survivor[t*numStates+state] = (prevState<<1)|inputBit
 	survivor := scr.survivor[:steps*numStates]
-	metric, next := scr.metric[:], scr.next[:]
+	metric, next := &scr.metric, &scr.next
 	neg := math.Inf(-1)
 	for i := range metric {
 		metric[i] = neg
 	}
 	metric[0] = 0
 	for t := 0; t < steps; t++ {
-		for i := range next {
-			next[i] = neg
-		}
 		row := survivor[t*numStates : (t+1)*numStates]
 		sym := llr[t*c.kept : (t+1)*c.kept]
-		for s := uint32(0); s < numStates; s++ {
-			if metric[s] == neg {
-				continue
+		// Destination-major add-compare-select. The lower predecessor is
+		// tried first and only a strictly better metric replaces the
+		// running best, the first-wins tie order of a source-major walk;
+		// each branch metric is summed onto the path metric term by term.
+		// In the tail only zero inputs run, so odd states stay -Inf.
+		step := uint32(1)
+		if t >= n {
+			step = 2
+			for i := 1; i < numStates; i += 2 {
+				next[i] = neg
 			}
-			maxIn := uint32(1)
-			if t >= n {
-				maxIn = 0 // tail: only zero inputs
+		}
+		s0, s1 := sym[0], sym[1]
+		var s2 float64
+		if c.kept == 3 {
+			s2 = sym[2]
+		}
+		for ns := uint32(0); ns < numStates; ns += step {
+			p0, p1 := ns>>1, ns>>1|numStates/2
+			e := &c.expect[ns]
+			var m0, m1 float64
+			if c.kept == 2 {
+				m0 = metric[p0] + e[0][0]*s0 + e[0][1]*s1
+				m1 = metric[p1] + e[1][0]*s0 + e[1][1]*s1
+			} else {
+				m0 = metric[p0] + e[0][0]*s0 + e[0][1]*s1 + e[0][2]*s2
+				m1 = metric[p1] + e[1][0]*s0 + e[1][1]*s1 + e[1][2]*s2
 			}
-			for in := uint32(0); in <= maxIn; in++ {
-				br := &c.branches[s][in]
-				m := metric[s]
-				for k, exp := range br.out {
-					m += exp * sym[k]
-				}
-				if m > next[br.next] {
-					next[br.next] = m
-					row[br.next] = uint16(s<<1 | in)
-				}
+			in := uint16(ns & 1)
+			best, sv := neg, row[ns]
+			if m0 > best {
+				best, sv = m0, uint16(p0)<<1|in
 			}
+			// The second compare goes either way about half the time, so it
+			// selects through an all-ones or all-zeros mask, not a branch.
+			var mask uint64
+			if m1 > best {
+				mask = ^uint64(0)
+			}
+			bb := math.Float64bits(best)
+			bb ^= (bb ^ math.Float64bits(m1)) & mask
+			sv ^= (sv ^ (uint16(p1)<<1 | in)) & uint16(mask)
+			next[ns] = math.Float64frombits(bb)
+			row[ns] = sv
 		}
 		metric, next = next, metric
 	}

@@ -117,17 +117,6 @@ func TestConvRateAccessors(t *testing.T) {
 	}
 }
 
-func BenchmarkViterbiR12Decode1000(b *testing.B) {
-	r := rng.New(1)
-	c := NewConvCodeR12()
-	msg := r.Bits(make([]byte, 1000))
-	coded := c.Encode(msg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Decode(coded)
-	}
-}
-
 func BenchmarkConvEncode1000(b *testing.B) {
 	r := rng.New(1)
 	c := NewConvCodeR12()

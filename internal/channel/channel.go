@@ -155,6 +155,11 @@ func profileTaps(p Profile) (delaysNs, powersDB []float64) {
 // average energy, applied by direct convolution.
 type Multipath struct {
 	taps []complex128 // tap gain at integer sample delays (sparse-dense)
+	// delays and gains list the non-zero taps in ascending delay order,
+	// built once by NewMultipath and read-only after, so one realization
+	// can be applied from several goroutines.
+	delays []int
+	gains  []complex128
 }
 
 // NewMultipath draws a Rayleigh realization of the given profile at the
@@ -195,25 +200,36 @@ func NewMultipath(r *rng.Source, p Profile, sampleRate float64) *Multipath {
 			taps[i] *= g
 		}
 	}
-	return &Multipath{taps: taps}
+	m := &Multipath{taps: taps}
+	for d, t := range taps {
+		if t != 0 {
+			m.delays = append(m.delays, d)
+			m.gains = append(m.gains, t)
+		}
+	}
+	return m
 }
 
 // NumTaps returns the delay-line length in samples.
 func (m *Multipath) NumTaps() int { return len(m.taps) }
 
 // Apply convolves x with the channel impulse response, returning len(x)
-// output samples (the tail is truncated).
+// output samples (the tail is truncated). It runs tap by tap over the
+// non-zero taps, so each output still sums its terms in ascending delay
+// order from +0, as a per-sample walk of the delay line would.
 func (m *Multipath) Apply(x []complex128) []complex128 {
 	out := make([]complex128, len(x))
-	for i := range x {
-		var acc complex128
-		for d, t := range m.taps {
-			if t == 0 || i-d < 0 {
-				continue
-			}
-			acc += x[i-d] * t
+	for j, d := range m.delays {
+		if d >= len(x) {
+			break
 		}
-		out[i] = acc
+		g := m.gains[j]
+		src := x[:len(x)-d]
+		dst := out[d:]
+		dst = dst[:len(src)]
+		for i, v := range src {
+			dst[i] += v * g
+		}
 	}
 	return out
 }

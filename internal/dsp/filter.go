@@ -8,9 +8,12 @@ import (
 // FIR is a streaming finite-impulse-response filter over complex samples.
 // The zero value is not usable; build one with NewFIR or LowPassFIR.
 type FIR struct {
-	taps  []float64
-	state []complex128 // circular delay line
-	pos   int
+	taps []float64
+	// state is the delay line, doubled: with n taps, each sample is written
+	// at pos and pos+n, and pos steps down, so state[pos:pos+n] is always the
+	// newest n samples newest first, with no wraparound inside the window.
+	state []complex128
+	pos   int // index of the newest sample, in [0, n)
 }
 
 // NewFIR builds a streaming filter from the given real taps.
@@ -18,7 +21,7 @@ func NewFIR(taps []float64) *FIR {
 	if len(taps) == 0 {
 		panic("dsp: FIR with no taps")
 	}
-	return &FIR{taps: append([]float64(nil), taps...), state: make([]complex128, len(taps))}
+	return &FIR{taps: append([]float64(nil), taps...), state: make([]complex128, 2*len(taps))}
 }
 
 // LowPassFIR designs a windowed-sinc (Hamming) low-pass filter with the given
@@ -69,23 +72,32 @@ func (f *FIR) Reset() {
 	f.pos = 0
 }
 
-// ProcessSample pushes one sample and returns one filtered output sample.
-func (f *FIR) ProcessSample(x complex128) complex128 {
+// Push advances the delay line by one sample without computing an output:
+// the cheap path for samples a decimator discards.
+func (f *FIR) Push(x complex128) {
+	n := len(f.taps)
+	f.pos--
+	if f.pos < 0 {
+		f.pos = n - 1
+	}
 	f.state[f.pos] = x
-	var acc complex128
-	idx := f.pos
-	for _, t := range f.taps {
-		acc += f.state[idx] * complex(t, 0)
-		idx--
-		if idx < 0 {
-			idx = len(f.state) - 1
-		}
+	f.state[f.pos+n] = x
+}
+
+// ProcessSample pushes one sample and returns one filtered output sample.
+// The taps are real, so each product is two real multiplies; the sum runs
+// newest sample first.
+func (f *FIR) ProcessSample(x complex128) complex128 {
+	f.Push(x)
+	taps := f.taps
+	w := f.state[f.pos:]
+	w = w[:len(taps)]
+	var re, im float64
+	for k, t := range taps {
+		re += real(w[k]) * t
+		im += imag(w[k]) * t
 	}
-	f.pos++
-	if f.pos == len(f.state) {
-		f.pos = 0
-	}
-	return acc
+	return complex(re, im)
 }
 
 // Process filters a block, writing len(x) outputs into a fresh slice. The

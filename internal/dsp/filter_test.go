@@ -254,12 +254,3 @@ func TestDBRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkFIR63Taps(b *testing.B) {
-	fir := LowPassFIR(0.1e6, 1e6, 63)
-	x := randomVector(rng.New(1), 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fir.ProcessSample(x[0])
-	}
-}

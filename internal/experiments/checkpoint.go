@@ -53,6 +53,9 @@ func runCheckpointed(ctx context.Context, jobs []job, run runFunc, workers int, 
 				if err := json.Unmarshal(body, &res); err != nil {
 					return nil, fmt.Errorf("experiments: decode artifact %s: %w", j.id, err)
 				}
+				if res.Metrics != nil {
+					res.Metrics.markRestored()
+				}
 				restored.Add(1)
 				return &res, nil
 			}

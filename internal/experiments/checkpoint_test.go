@@ -121,4 +121,16 @@ func TestRunAllCheckpointResume(t *testing.T) {
 		t.Fatalf("resumed sweep: %+v, want %d restored", cs, n)
 	}
 	requireSameRenders(t, second, first)
+	// A restored artifact's metrics say so and carry none of the cold run's
+	// measurements: the report of a resumed sweep describes that sweep.
+	for i, res := range second {
+		cold := first[i].Metrics
+		if cold == nil || cold.Restored {
+			t.Fatalf("cold %s metrics: %+v", first[i].ID, cold)
+		}
+		want := RunMetrics{ID: cold.ID, Title: cold.Title, Seed: cold.Seed, Rows: cold.Rows, Restored: true}
+		if res.Metrics == nil || *res.Metrics != want {
+			t.Fatalf("restored %s metrics: %+v, want %+v", res.ID, res.Metrics, want)
+		}
+	}
 }

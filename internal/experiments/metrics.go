@@ -40,6 +40,17 @@ type RunMetrics struct {
 	CacheMisses uint64 `json:"cache_misses"`
 	// Rows is the number of table rows the artifact produced.
 	Rows int `json:"rows"`
+	// Restored marks an artifact a resumed sweep read from its checkpoint
+	// instead of computing. Its measured fields (Worker, WallSeconds,
+	// AllocBytes, Mallocs and the cache counters) are zero: the checkpoint
+	// holds the cold run's numbers, which this run did not spend.
+	Restored bool `json:"restored,omitempty"`
+}
+
+// markRestored flags m as restored from a checkpoint and zeroes the fields
+// that measured the run that computed it.
+func (m *RunMetrics) markRestored() {
+	*m = RunMetrics{ID: m.ID, Title: m.Title, Seed: m.Seed, Rows: m.Rows, Restored: true}
 }
 
 // runInstrumented executes one runner and attaches RunMetrics to its Result.

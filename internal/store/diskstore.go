@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -322,6 +323,13 @@ func (d *DiskStore) Get(k Key) ([]byte, bool) {
 	}
 	e := el.Value.(*diskEntry)
 	data, err := os.ReadFile(filepath.Join(d.dir, e.file))
+	if errors.Is(err, fs.ErrNotExist) {
+		// A sibling store sharing the directory evicted it: forget the
+		// entry and miss; there is nothing to quarantine.
+		d.dropLocked(el)
+		d.misses++
+		return nil, false
+	}
 	if err == nil {
 		var key Key
 		var body []byte
@@ -336,9 +344,7 @@ func (d *DiskStore) Get(k Key) ([]byte, bool) {
 		}
 	}
 	// Unreadable or corrupt: drop the entry, quarantine the file, miss.
-	d.order.Remove(el)
-	delete(d.entries, k)
-	d.bytes -= e.size
+	d.dropLocked(el)
 	d.lock()
 	d.quarantine(e.file, err)
 	d.unlock()
@@ -388,9 +394,14 @@ func (d *DiskStore) Put(k Key, body []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if el, ok := d.entries[k]; ok {
-		// Identical by the determinism contract; refresh recency only.
-		d.order.MoveToFront(el)
-		return
+		_, err := os.Stat(filepath.Join(d.dir, el.Value.(*diskEntry).file))
+		if !errors.Is(err, fs.ErrNotExist) {
+			// Identical by the determinism contract; refresh recency only.
+			d.order.MoveToFront(el)
+			return
+		}
+		// A sibling store evicted the file: write it again.
+		d.dropLocked(el)
 	}
 	data := encodeArtifact(k, body)
 	name := FileName(k)
@@ -407,15 +418,21 @@ func (d *DiskStore) Put(k Key, body []byte) {
 	d.evictOverLocked()
 }
 
+// dropLocked removes an entry from the in-memory index only.
+func (d *DiskStore) dropLocked(el *list.Element) {
+	e := el.Value.(*diskEntry)
+	d.order.Remove(el)
+	delete(d.entries, e.key)
+	d.bytes -= e.size
+}
+
 // evictOverLocked removes least-recently-used artifacts until the byte
 // budget holds.
 func (d *DiskStore) evictOverLocked() {
 	for d.bytes > d.maxBytes && d.order.Len() > 0 {
 		el := d.order.Back()
 		e := el.Value.(*diskEntry)
-		d.order.Remove(el)
-		delete(d.entries, e.key)
-		d.bytes -= e.size
+		d.dropLocked(el)
 		d.evictions++
 		_ = os.Remove(filepath.Join(d.dir, e.file))
 	}

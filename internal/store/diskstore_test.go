@@ -313,6 +313,72 @@ func TestDiskStoreByteBoundEviction(t *testing.T) {
 	}
 }
 
+// siblingEviction opens store a over dir (its log lines collected into
+// logs), stores k through it, then lets a second store with room for a
+// single artifact evict k from disk by storing another key. It returns a,
+// whose index still lists k.
+func siblingEviction(t *testing.T, dir string, k Key, body []byte, logs *[]string) *DiskStore {
+	t.Helper()
+	a, err := Open(dir, 0, func(format string, args ...any) {
+		*logs = append(*logs, fmt.Sprintf(format, args...))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Put(k, body)
+	b, err := Open(dir, 1200, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Put(testKey(k.Seed+1), body)
+	if st := b.Stats(); st.Evictions != 1 {
+		t.Fatalf("sibling did not evict the first artifact: %+v", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, FileName(k))); !os.IsNotExist(err) {
+		t.Fatalf("evicted artifact still on disk: %v", err)
+	}
+	return a
+}
+
+// TestDiskStoreGetAfterSiblingEviction: a file a sibling store evicted is a
+// plain miss for a store that still indexes it, not a corruption — no
+// quarantine, no log line — and the entry leaves the index.
+func TestDiskStoreGetAfterSiblingEviction(t *testing.T) {
+	var logs []string
+	k := testKey(60)
+	a := siblingEviction(t, t.TempDir(), k, bytes.Repeat([]byte("e"), 1024), &logs)
+	if _, ok := a.Get(k); ok {
+		t.Fatal("Get served an evicted artifact")
+	}
+	if st := a.Stats(); st.Quarantined != 0 || st.Misses != 1 || st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("stats after a sibling eviction: %+v", st)
+	}
+	if len(logs) != 0 {
+		t.Fatalf("a sibling eviction logged %q", logs)
+	}
+}
+
+// TestDiskStorePutAfterSiblingEviction: re-storing a key whose file a
+// sibling store evicted writes the file again, so a later open hits it.
+func TestDiskStorePutAfterSiblingEviction(t *testing.T) {
+	var logs []string
+	dir := t.TempDir()
+	k := testKey(70)
+	body := bytes.Repeat([]byte("p"), 1024)
+	a := siblingEviction(t, dir, k, body, &logs)
+	a.Put(k, body)
+	if st := a.Stats(); st.Puts != 2 || st.Entries != 1 {
+		t.Fatalf("stats after the re-Put: %+v", st)
+	}
+	got, ok := openDisk(t, dir).Get(k)
+	if !ok || !bytes.Equal(got, body) {
+		t.Fatalf("third open after the re-Put: ok=%v, %d bytes", ok, len(got))
+	}
+	if len(logs) != 0 {
+		t.Fatalf("the re-Put logged %q", logs)
+	}
+}
+
 // TestWriteAtomicReplaces pins the helper the metrics reports and the
 // artifact files share: the destination is either absent, the old content,
 // or the complete new content — and a successful call leaves no temp files.

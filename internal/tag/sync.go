@@ -176,19 +176,20 @@ func (s *SyncCircuit) Trace() *SyncTrace { return s.trace }
 // circuit keeps state across calls, so consecutive blocks form one stream.
 func (s *SyncCircuit) Process(x []complex128) []Detection {
 	var dets []Detection
-	ratio := int(s.params.SampleRate() / s.decimRate)
 	for _, v := range x {
 		s.samplesIn++
-		// Cascaded decimation.
+		// Cascaded decimation: a stage computes an output only for the
+		// sample it keeps and just pushes the ones it discards.
 		keep := true
-		for st := range s.firs {
-			v = s.firs[st].ProcessSample(v)
+		for st, fir := range s.firs {
 			s.phase[st]++
 			if s.phase[st] < s.decim[st] {
+				fir.Push(v)
 				keep = false
 				break
 			}
 			s.phase[st] = 0
+			v = fir.ProcessSample(v)
 		}
 		if !keep {
 			continue
@@ -226,7 +227,6 @@ func (s *SyncCircuit) Process(x []complex128) []Detection {
 			})
 		}
 		s.state = out
-		_ = ratio
 	}
 	return dets
 }

@@ -23,9 +23,12 @@ race:
 
 # Build, vet, and fail on any file gofmt would rewrite. gofmt gets each
 # package directory's files rather than the directories, so it does not
-# recurse into .bench_build/ or the separate perfbench module.
+# recurse into .bench_build/ or the separate perfbench module. The perfbench
+# module is vetted too: it compiles against internal/ APIs, so a change there
+# that breaks it fails here rather than later in bench-check.
 vet:
 	$(GO) build ./... && $(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	@unformatted=$$(for d in $$($(GO) list -f '{{.Dir}}' ./...); do gofmt -l $$d/*.go; done); \
 	if [ -n "$$unformatted" ]; then echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; fi
 

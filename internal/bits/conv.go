@@ -185,10 +185,14 @@ func (c *ConvCode) DecodeSoft(llr []float64) []byte {
 				m0 = metric[p0] + e[0][0]*s0 + e[0][1]*s1 + e[0][2]*s2
 				m1 = metric[p1] + e[1][0]*s0 + e[1][1]*s1 + e[1][2]*s2
 			}
+			// The survivor defaults to the lower predecessor, so a state no
+			// candidate improves on (-Inf or NaN metrics) still records one
+			// written by this decode and the traceback never reads survivors
+			// a previous decode left in the pooled scratch.
 			in := uint16(ns & 1)
-			best, sv := neg, row[ns]
+			best, sv := neg, uint16(p0)<<1|in
 			if m0 > best {
-				best, sv = m0, uint16(p0)<<1|in
+				best = m0
 			}
 			// The second compare goes either way about half the time, so it
 			// selects through an all-ones or all-zeros mask, not a branch.

@@ -1,6 +1,7 @@
 package bits
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -124,5 +125,39 @@ func BenchmarkConvEncode1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Encode(msg)
+	}
+}
+
+// TestDecodeSoftNonFiniteIgnoresPoolHistory: on all-NaN or all-+Inf LLRs no
+// add-compare-select improves on -Inf for most states, so the survivors the
+// traceback follows must come from this decode, not from whatever the pooled
+// scratch held. Decoding an all-ones message first fills the pool with
+// ones-path survivors; the non-finite decodes that follow must still give
+// zeros.
+func TestDecodeSoftNonFiniteIgnoresPoolHistory(t *testing.T) {
+	const n = 34
+	ones := make([]byte, n)
+	for i := range ones {
+		ones[i] = 1
+	}
+	for _, c := range []*ConvCode{NewConvCodeR12(), NewConvCodeR13()} {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			if dec := c.Decode(c.Encode(ones)); CountDiff(dec, ones) != 0 {
+				t.Fatalf("rate 1/%d: all-ones round trip failed", c.kept)
+			}
+			llr := make([]float64, c.EncodedLen(n))
+			for i := range llr {
+				llr[i] = v
+			}
+			dec := c.DecodeSoft(llr)
+			if len(dec) != n {
+				t.Fatalf("rate 1/%d, LLR %v: decoded %d bits, want %d", c.kept, v, len(dec), n)
+			}
+			for i, b := range dec {
+				if b != 0 {
+					t.Fatalf("rate 1/%d, LLR %v: bit %d = %d, want all zeros %v", c.kept, v, i, b, dec)
+				}
+			}
+		}
 	}
 }

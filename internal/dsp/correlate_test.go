@@ -54,6 +54,43 @@ func assertCorrEquiv(t *testing.T, got, want []complex128, relTol float64) {
 	}
 }
 
+// directNormalizedPeak is the reference normalized peak: the direct
+// correlation scanned with the running segment-energy recurrence the bank
+// uses.
+func directNormalizedPeak(x, ref []complex128) (int, float64) {
+	corr := CrossCorrelate(x, ref)
+	refE := Energy(ref)
+	if corr == nil || refE == 0 {
+		return 0, 0
+	}
+	m := len(ref)
+	segE := Energy(x[:m])
+	best, bestVal := 0, -1.0
+	for l := range corr {
+		if l > 0 {
+			out := x[l-1]
+			in := x[l+m-1]
+			segE += real(in)*real(in) + imag(in)*imag(in) - real(out)*real(out) - imag(out)*imag(out)
+		}
+		den := math.Sqrt(segE * refE)
+		if den <= 0 {
+			continue
+		}
+		if v := cmplx.Abs(corr[l]) / den; v > bestVal {
+			best, bestVal = l, v
+		}
+	}
+	if bestVal < 0 {
+		return 0, 0
+	}
+	return best, bestVal
+}
+
+// oneRef builds the one-reference bank that serves single-reference callers.
+func oneRef(ref []complex128) *CorrelatorBank {
+	return NewCorrelatorBank([][]complex128{ref})
+}
+
 // The table spans both sides of the crossover, single-block and multi-block
 // overlap-save, partial tail blocks, and the degenerate single-lag case.
 var corrSizes = []struct {
@@ -78,36 +115,33 @@ func TestCorrelatorMatchesDirect(t *testing.T) {
 			x := randIQ(rng, tc.n)
 			ref := randIQ(rng, tc.m)
 			want := CrossCorrelate(x, ref)
-			c := NewCorrelator(ref)
-			got := c.Correlate(nil, x)
-			assertCorrEquiv(t, got, want, 1e-9)
+			c := oneRef(ref)
+			got := c.CorrelateAll(nil, x)
+			assertCorrEquiv(t, got[0], want, 1e-9)
 			// Reusing a destination must give the same answer.
-			got2 := c.Correlate(got, x)
-			assertCorrEquiv(t, got2, want, 1e-9)
-			// The adaptive front door agrees too.
-			assertCorrEquiv(t, Correlate(x, ref), want, 1e-9)
+			got2 := c.CorrelateAll(got, x)
+			assertCorrEquiv(t, got2[0], want, 1e-9)
 		})
 	}
 }
 
 func TestCorrelatorDegenerate(t *testing.T) {
 	x := randIQ(rand.New(rand.NewSource(2)), 32)
-	if got := Correlate(x, nil); got != nil {
-		t.Fatalf("Correlate with empty ref: got %v, want nil", got)
+	if lag, peak := NormalizedCorrPeak(x, nil); lag != 0 || peak != 0 {
+		t.Fatalf("NormalizedCorrPeak with empty ref: got (%d, %g), want zero", lag, peak)
 	}
-	if got := Correlate(x[:4], x); got != nil {
-		t.Fatalf("Correlate with short stream: got %v, want nil", got)
+	if lag, peak := NormalizedCorrPeak(x[:4], x); lag != 0 || peak != 0 {
+		t.Fatalf("NormalizedCorrPeak with short stream: got (%d, %g), want zero", lag, peak)
 	}
-	c := NewCorrelator(x)
-	if got := c.Correlate(nil, x[:4]); got != nil {
-		t.Fatalf("Correlator with short stream: got %v, want nil", got)
+	if got := oneRef(x).CorrelateAll(nil, x[:4]); got[0] != nil {
+		t.Fatalf("one-reference bank with short stream: got %v, want nil", got[0])
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewCorrelator(empty) did not panic")
+			t.Fatal("NewCorrelatorBank with an empty reference did not panic")
 		}
 	}()
-	NewCorrelator(nil)
+	oneRef(nil)
 }
 
 func TestCorrelatorNormalizedPeak(t *testing.T) {
@@ -119,12 +153,11 @@ func TestCorrelatorNormalizedPeak(t *testing.T) {
 			// Plant the reference at a known offset so the peak is sharp.
 			off := (tc.n - tc.m) / 2
 			copy(x[off:], ref)
-			wantLag, wantPeak := NormalizedCorrPeak(x, ref)
+			wantLag, wantPeak := directNormalizedPeak(x, ref)
 			if wantLag != off {
 				t.Fatalf("planted reference not found by reference impl: lag %d, want %d", wantLag, off)
 			}
-			c := NewCorrelator(ref)
-			gotLag, gotPeak := c.NormalizedPeak(x)
+			gotLag, gotPeak := NormalizedCorrPeak(x, ref)
 			if gotLag != wantLag {
 				t.Fatalf("peak lag: got %d, want %d", gotLag, wantLag)
 			}
@@ -151,7 +184,7 @@ func TestCorrelatorBankMatchesIndependent(t *testing.T) {
 		for r, ref := range refs {
 			want := CrossCorrelate(x, ref)
 			assertCorrEquiv(t, all[r], want, 1e-9)
-			wantLag, wantPeak := NormalizedCorrPeak(x, ref)
+			wantLag, wantPeak := directNormalizedPeak(x, ref)
 			if peaks[r].Lag != wantLag {
 				t.Fatalf("m=%d root %d: bank lag %d, independent %d", m, r, peaks[r].Lag, wantLag)
 			}
@@ -239,7 +272,7 @@ func bytesToIQ(data []byte) []complex128 {
 	return out
 }
 
-// FuzzCorrelatorEquivalence pins the FFT overlap-save path to the direct
+// FuzzCorrelatorEquivalence pins the bank's FFT overlap-save path to the direct
 // reference implementation on arbitrary IQ streams and reference lengths:
 // per-lag agreement within 1e-9 of the peak magnitude, and agreement of both
 // the correlation argmax and the normalized peak (lag and value) up to
@@ -264,11 +297,11 @@ func FuzzCorrelatorEquivalence(f *testing.F) {
 		m = 1 + m%len(x)
 		ref := x[len(x)-m:]
 		want := CrossCorrelate(x, ref)
-		got := NewCorrelator(ref).Correlate(nil, x)
+		got := oneRef(ref).CorrelateAll(nil, x)[0]
 		assertCorrEquiv(t, got, want, 1e-9)
 
-		wantLag, wantPeak := NormalizedCorrPeak(x, ref)
-		gotLag, gotPeak := NewCorrelator(ref).NormalizedPeak(x)
+		wantLag, wantPeak := directNormalizedPeak(x, ref)
+		gotLag, gotPeak := NormalizedCorrPeak(x, ref)
 		if math.Abs(gotPeak-wantPeak) > 1e-9 {
 			t.Fatalf("normalized peak: got %.15g, want %.15g", gotPeak, wantPeak)
 		}
@@ -295,9 +328,10 @@ func benchCorrelate(b *testing.B, m int, fft bool) {
 	if fft {
 		// Bypass the crossover policy so both sides of the break-even are
 		// measured with the same destination handling.
-		c := NewCorrelator(ref)
+		c := oneRef(ref)
+		dsts := [][]complex128{dst}
 		for i := 0; i < b.N; i++ {
-			c.correlateFFT(dst, x)
+			c.correlateFFT(dsts, x)
 			corrSink = dst
 		}
 		return
@@ -322,8 +356,8 @@ func BenchmarkCorrelateFFT(b *testing.B) {
 	}
 }
 
-// BenchmarkCorrelateBank measures the three-reference batch mode against
-// three independent correlators at the cell-search reference length.
+// BenchmarkCorrelateBank measures the three-reference batch mode at the
+// cell-search reference length.
 func BenchmarkCorrelateBank(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	x := randIQ(rng, benchStreamLen)

@@ -21,10 +21,6 @@ type Config struct {
 	TxPowerDBm float64
 	// Seed drives the payload generator.
 	Seed uint64
-	// NoCache bypasses ltephy.SharedCache for this eNodeB. The cache is
-	// bit-transparent (a hit returns exactly what the modulator would
-	// produce), so this exists only for A/B measurements and tests.
-	NoCache bool
 }
 
 // DefaultConfig returns a 10 dBm QPSK eNodeB at the given bandwidth.
@@ -64,15 +60,6 @@ type ENodeB struct {
 	gain  float64 // deterministic amplitude scale to reach TxPowerDBm
 }
 
-// modulate runs the OFDM modulator through the shared waveform cache unless
-// this eNodeB opted out. The returned slice is owned by the caller.
-func (e *ENodeB) modulate(g *ltephy.Grid) []complex128 {
-	if e.cfg.NoCache {
-		return ltephy.Modulate(g)
-	}
-	return ltephy.SharedCache.Modulate(g)
-}
-
 // New builds an eNodeB. It panics on invalid parameters.
 func New(cfg Config) *ENodeB {
 	if err := cfg.Params.Validate(); err != nil {
@@ -107,7 +94,7 @@ func New(cfg Config) *ENodeB {
 			data[i] = 1
 		}
 		g.MapData(data)
-		p += dsp.Power(e.modulate(g))
+		p += dsp.Power(ltephy.SharedCache.Modulate(g))
 	}
 	p /= ltephy.SubframesPerFrame
 	targetW := math.Pow(10, (cfg.TxPowerDBm-30)/10)
@@ -152,7 +139,7 @@ func (e *ENodeB) NextSubframe() *Subframe {
 	}
 	g.MapData(syms)
 
-	samples := e.modulate(g)
+	samples := ltephy.SharedCache.Modulate(g)
 	dsp.Scale(samples, e.gain)
 	return &Subframe{
 		Index:   idx,

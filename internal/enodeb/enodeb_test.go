@@ -224,9 +224,11 @@ func TestCacheTransparentAndHitsOnReplay(t *testing.T) {
 	cfg := DefaultConfig(ltephy.BW1_4)
 	cfg.Seed = 42
 
-	uncached := cfg
-	uncached.NoCache = true
-	plain := New(uncached).Stream(12)
+	// A nil shared cache falls through to the plain modulator.
+	shared := ltephy.SharedCache
+	ltephy.SharedCache = nil
+	plain := New(cfg).Stream(12)
+	ltephy.SharedCache = shared
 
 	// First cached eNodeB populates the shared cache, the second replays the
 	// identical stream from it; both must be bit-identical to the uncached

@@ -61,7 +61,6 @@ func citySimConfig(v cityVenue, seed uint64) fleet.SimConfig {
 	exp := cfg.PathLossExponent
 
 	occupied := float64(cfg.BW.Subcarriers()) * ltephy.SubcarrierSpacing
-	slotSec := 0.005
 	venue := v.venue
 
 	return fleet.SimConfig{
@@ -70,10 +69,9 @@ func citySimConfig(v cityVenue, seed uint64) fleet.SimConfig {
 			Seed: DeriveSeed(seed, "cityscale-"+venue.String()),
 		},
 		Tags:          v.tags,
-		SlotSec:       slotSec,
 		MsgPerTagHour: v.msgPerTagHour,
 		Activity:      func(hour float64) float64 { return traffic.VenueActivity(venue, hour) },
-		MsgBits:       int(core.RawBackscatterRate(cfg.BW) * slotSec),
+		MsgBits:       int(core.RawBackscatterRate(cfg.BW) * fleet.SlotSec),
 		RxPowerW: func(tag int) float64 {
 			// Deterministic distance ramp across the venue's range: the tag
 			// index picks a position, so capture always has a power spread.

@@ -20,13 +20,14 @@ const (
 	// TDMA is round-robin ownership: each slot belongs to exactly one tag.
 	// Collision-free, but a tag waits O(fleet size) slots for its turn.
 	TDMA MAC = iota
-	// Aloha is p-persistent slotted ALOHA: backlogged tags transmit in a
-	// slot with probability AttemptProb; any overlap is a collision and
-	// every collider backs off (binary exponential).
+	// Aloha is 1-persistent slotted ALOHA: a backlogged tag transmits in
+	// the first slot its backoff allows; any overlap is a collision and
+	// every collider backs off (binary exponential, from backoffSlots up
+	// to backoffMaxSlots).
 	Aloha
 	// AlohaCapture is slotted ALOHA with capture-effect arbitration: when
 	// transmissions overlap, the strongest one still decodes if its SINR
-	// over the other colliders clears CaptureDB. Losers back off.
+	// over the other colliders clears captureDB (6 dB). Losers back off.
 	AlohaCapture
 )
 
@@ -56,54 +57,27 @@ func ParseMAC(s string) (MAC, error) {
 	return 0, fmt.Errorf("fleet: unknown MAC %q (want tdma, aloha or capture)", s)
 }
 
-// Config holds the MAC scheduling parameters of the Simulate engine. The
-// zero value selects TDMA with the defaults below.
+// The MAC's fixed parameters.
+const (
+	// captureDB is the SINR threshold (dB) a collider must clear over the
+	// others to win capture-effect arbitration under AlohaCapture.
+	captureDB = 6.0
+	// backoffSlots is the initial binary-exponential backoff window in
+	// slots; it doubles per consecutive collision until backoffMaxExp
+	// collisions have widened it to backoffMaxSlots (1024).
+	backoffSlots    = 2
+	backoffMaxExp   = 10
+	backoffMaxSlots = backoffSlots << (backoffMaxExp - 1)
+	// maxQueue caps each tag's pending-message queue; arrivals beyond it
+	// are counted as dropped.
+	maxQueue = 8
+)
+
+// Config selects the MAC of the Simulate engine and seeds it. The zero
+// value selects TDMA.
 type Config struct {
 	// MAC is the access discipline.
 	MAC MAC
-	// SlotSubframes is the contention-slot length in subframes. The default
-	// 5 matches one backscatter burst: the demodulator acquires each burst
-	// on its opening PSS, so a transmission opportunity is the whole 5 ms
-	// burst and arbitration happens at burst boundaries.
-	SlotSubframes int
-	// AttemptProb is the p-persistence of the ALOHA MACs: a backlogged tag
-	// whose backoff has expired transmits in a slot with this probability.
-	// Defaults to 1 (transmit as soon as eligible).
-	AttemptProb float64
-	// CaptureDB is the SINR threshold (dB) for capture-effect arbitration
-	// under AlohaCapture. Defaults to 6 dB.
-	CaptureDB float64
-	// BackoffSlots is the initial binary-exponential backoff window in
-	// slots; it doubles per consecutive collision. Defaults to 2.
-	BackoffSlots int
-	// BackoffMaxSlots caps the backoff window. Defaults to 1024.
-	BackoffMaxSlots int
-	// MaxQueue caps each tag's pending-message queue; arrivals beyond it
-	// are counted as dropped. Defaults to 8.
-	MaxQueue int
 	// Seed seeds the scheduler's RNG streams.
 	Seed uint64
-}
-
-// withDefaults fills unset fields with the documented defaults.
-func (c Config) withDefaults() Config {
-	if c.SlotSubframes <= 0 {
-		c.SlotSubframes = 5
-	}
-	if c.AttemptProb <= 0 || c.AttemptProb > 1 {
-		c.AttemptProb = 1
-	}
-	if c.CaptureDB == 0 {
-		c.CaptureDB = 6
-	}
-	if c.BackoffSlots <= 0 {
-		c.BackoffSlots = 2
-	}
-	if c.BackoffMaxSlots <= 0 {
-		c.BackoffMaxSlots = 1024
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 8
-	}
-	return c
 }

@@ -79,11 +79,10 @@ func (h *eventHeap) pop() uint64 {
 // message queues, backoff windows, and the event queue that decides which
 // tags contend in which slot.
 type sched struct {
-	cfg  Config
-	n    int32
-	r    *rng.Source
-	ev   eventHeap
-	maxW int // largest backoff window, precomputed from cfg
+	mac MAC
+	n   int32
+	r   *rng.Source
+	ev  eventHeap
 
 	// Per-tag state, structure-of-arrays.
 	queued  []int32 // pending messages
@@ -110,17 +109,11 @@ type sched struct {
 	dropped int64 // arrivals rejected by a full queue
 }
 
-func newSched(tags int, cfg Config, r *rng.Source) *sched {
-	cfg = cfg.withDefaults()
-	maxExp := 0
-	for w := cfg.BackoffSlots; w < cfg.BackoffMaxSlots; w <<= 1 {
-		maxExp++
-	}
+func newSched(tags int, mac MAC, r *rng.Source) *sched {
 	return &sched{
-		cfg:        cfg,
+		mac:        mac,
 		n:          int32(tags),
 		r:          r,
-		maxW:       cfg.BackoffSlots << maxExp,
 		queued:     make([]int32, tags),
 		pending:    make([]bool, tags),
 		boExp:      make([]uint8, tags),
@@ -169,7 +162,7 @@ func (s *sched) schedule(tag int32, slot int64) {
 	if s.pending[tag] {
 		return
 	}
-	if s.cfg.MAC == TDMA {
+	if s.mac == TDMA {
 		slot = s.turnSlot(tag, slot-1)
 	}
 	s.pending[tag] = true
@@ -184,7 +177,7 @@ func (s *sched) offer(tag int32, msgs int32, slot int64) int32 {
 	if msgs <= 0 {
 		return 0
 	}
-	room := int32(s.cfg.MaxQueue) - s.queued[tag]
+	room := maxQueue - s.queued[tag]
 	if msgs > room {
 		s.dropped += int64(msgs - room)
 		msgs = room
@@ -265,37 +258,20 @@ type outcome struct {
 }
 
 // decide arbitrates one slot among the collected contenders and advances the
-// per-tag state machines: p-persistence draws, capture arbitration, queue
-// pops for the winner, backoff for losers, and rescheduling. power maps a
-// tag index to its received signal power in watts (only consulted when
-// transmissions overlap under AlohaCapture); noiseW is the receiver noise
-// floor in the same units. All RNG draws happen in sorted tag order, so the
+// per-tag state machines: capture arbitration, queue pops for the winner,
+// backoff for losers, and rescheduling. Every contender transmits (the ALOHA
+// MACs are 1-persistent). power maps a tag index to its received signal
+// power in watts (only consulted when transmissions overlap under
+// AlohaCapture); noiseW is the receiver noise floor in the same units. All RNG draws happen in sorted tag order, so the
 // outcome is deterministic for a given call sequence.
 func (s *sched) decide(slot int64, contenders []int32, power func(int32) float64, noiseW float64) outcome {
 	out := outcome{winner: -1}
 	if len(contenders) == 0 {
 		return out
 	}
-
-	// p-persistence: contenders that hold off retry next slot.
-	tx := contenders
-	if s.cfg.MAC != TDMA && s.cfg.AttemptProb < 1 {
-		tx = tx[:0]
-		for _, tag := range contenders {
-			if s.r.Float64() < s.cfg.AttemptProb {
-				tx = append(tx, tag)
-			} else {
-				s.schedule(tag, slot+1)
-			}
-		}
-	}
-	if len(tx) == 0 {
-		return out
-	}
-
 	switch {
-	case len(tx) == 1:
-		w := tx[0]
+	case len(contenders) == 1:
+		w := contenders[0]
 		out.winner = w
 		if power != nil {
 			p := power(w)
@@ -305,12 +281,12 @@ func (s *sched) decide(slot int64, contenders []int32, power func(int32) float64
 				out.sinr = math.Inf(1)
 			}
 		}
-	case s.cfg.MAC == AlohaCapture:
+	case s.mac == AlohaCapture:
 		// Capture: the strongest collider decodes if its SINR over the
 		// others clears the threshold (ties break to the lowest index).
 		var sum float64
 		best, bestP := int32(-1), math.Inf(-1)
-		for _, tag := range tx {
+		for _, tag := range contenders {
 			p := 1.0
 			if power != nil {
 				p = power(tag)
@@ -321,24 +297,24 @@ func (s *sched) decide(slot int64, contenders []int32, power func(int32) float64
 			}
 		}
 		sinr := bestP / (sum - bestP + noiseW)
-		if sinr >= math.Pow(10, s.cfg.CaptureDB/10) {
+		if sinr >= math.Pow(10, captureDB/10) {
 			out.winner = best
 			out.sinr = sinr
-			for _, tag := range tx {
+			for _, tag := range contenders {
 				if tag != best {
 					out.losers = append(out.losers, tag)
 				}
 			}
 		} else {
 			out.collided = true
-			out.losers = tx
+			out.losers = contenders
 		}
 	default:
 		// Plain slotted ALOHA (and the degenerate TDMA double-booking,
 		// which the turn rotation makes impossible): every overlap is a
 		// collision.
 		out.collided = true
-		out.losers = tx
+		out.losers = contenders
 	}
 
 	if w := out.winner; w >= 0 {
@@ -358,13 +334,10 @@ func (s *sched) decide(slot int64, contenders []int32, power func(int32) float64
 		}
 	}
 	for _, tag := range out.losers {
-		if s.boExp[tag] < 63 {
+		if s.boExp[tag] < backoffMaxExp {
 			s.boExp[tag]++
 		}
-		w := s.cfg.BackoffSlots << (s.boExp[tag] - 1)
-		if w > s.maxW {
-			w = s.maxW
-		}
+		w := backoffSlots << (s.boExp[tag] - 1)
 		s.schedule(tag, slot+1+int64(s.r.Intn(w)))
 	}
 	return out

@@ -37,7 +37,7 @@ func TestEventHeapOrders(t *testing.T) {
 }
 
 func TestSchedTDMATurns(t *testing.T) {
-	s := newSched(5, Config{MAC: TDMA, Seed: 1}, rng.New(1))
+	s := newSched(5, TDMA, rng.New(1))
 	// Tag 3 arrives at slot 0: its first turn strictly after slot 0 is
 	// slot 3.
 	s.offer(3, 1, 0)
@@ -65,7 +65,7 @@ func TestSchedTDMATurns(t *testing.T) {
 }
 
 func TestSchedAlohaCollisionAndBackoff(t *testing.T) {
-	s := newSched(4, Config{MAC: Aloha, Seed: 7, BackoffSlots: 2}, rng.New(7))
+	s := newSched(4, Aloha, rng.New(7))
 	s.offer(0, 1, 0)
 	s.offer(2, 1, 0)
 	c := s.collect(1)
@@ -100,6 +100,29 @@ func TestSchedAlohaCollisionAndBackoff(t *testing.T) {
 	}
 }
 
+// TestSchedBackoffWindowCap: the window doubles from backoffSlots and stops
+// at backoffMaxSlots however many collisions a tag has seen.
+func TestSchedBackoffWindowCap(t *testing.T) {
+	s := newSched(2, Aloha, rng.New(4))
+	for slot := int64(0); slot < 100; slot++ {
+		// Both tags transmit in every slot, so each attempt collides and
+		// widens their backoff.
+		s.ev = s.ev[:0]
+		s.pending[0], s.pending[1] = false, false
+		if out := s.decide(slot, []int32{0, 1}, nil, 0); !out.collided {
+			t.Fatalf("slot %d: overlap did not collide: %+v", slot, out)
+		}
+		for len(s.ev) > 0 {
+			if next := int64(s.ev.pop() >> tagBits); next <= slot || next > slot+backoffMaxSlots {
+				t.Fatalf("slot %d: backoff to slot %d, want in (%d, %d]", slot, next, slot, slot+backoffMaxSlots)
+			}
+		}
+	}
+	if s.boExp[0] != backoffMaxExp || s.boExp[1] != backoffMaxExp {
+		t.Fatalf("backoff exponents %d, %d after 100 collisions, want the cap %d", s.boExp[0], s.boExp[1], backoffMaxExp)
+	}
+}
+
 func TestSchedCapture(t *testing.T) {
 	power := func(tag int32) float64 {
 		if tag == 1 {
@@ -107,7 +130,7 @@ func TestSchedCapture(t *testing.T) {
 		}
 		return 1
 	}
-	s := newSched(3, Config{MAC: AlohaCapture, Seed: 9, CaptureDB: 6}, rng.New(9))
+	s := newSched(3, AlohaCapture, rng.New(9))
 	s.offer(0, 1, 0)
 	s.offer(1, 1, 0)
 	out := s.decide(1, s.collect(1), power, 0)
@@ -122,7 +145,7 @@ func TestSchedCapture(t *testing.T) {
 	}
 
 	// Equal powers: SINR ~= 1 (0 dB) < 6 dB threshold -> collision.
-	s2 := newSched(3, Config{MAC: AlohaCapture, Seed: 9, CaptureDB: 6}, rng.New(9))
+	s2 := newSched(3, AlohaCapture, rng.New(9))
 	s2.offer(0, 1, 0)
 	s2.offer(1, 1, 0)
 	out2 := s2.decide(1, s2.collect(1), func(int32) float64 { return 1 }, 0)
@@ -132,23 +155,22 @@ func TestSchedCapture(t *testing.T) {
 }
 
 func TestSchedQueueCapDrops(t *testing.T) {
-	cfg := Config{MAC: Aloha, Seed: 3, MaxQueue: 2}
-	s := newSched(1, cfg, rng.New(3))
-	if got := s.offer(0, 5, 0); got != 2 {
-		t.Fatalf("accepted %d, want 2 (queue cap)", got)
+	s := newSched(1, Aloha, rng.New(3))
+	if got := s.offer(0, maxQueue+3, 0); got != maxQueue {
+		t.Fatalf("accepted %d, want %d (queue cap)", got, maxQueue)
 	}
 	if s.dropped != 3 {
 		t.Fatalf("dropped %d, want 3", s.dropped)
 	}
-	if s.queued[0] != 2 {
-		t.Fatalf("queued %d, want 2", s.queued[0])
+	if s.queued[0] != maxQueue {
+		t.Fatalf("queued %d, want %d", s.queued[0], maxQueue)
 	}
 }
 
 func TestSchedFIFOLatency(t *testing.T) {
 	// Three messages queued at distinct slots must deliver in arrival
 	// order with matching arrivedAt stamps.
-	s := newSched(1, Config{MAC: Aloha, Seed: 5}, rng.New(5))
+	s := newSched(1, Aloha, rng.New(5))
 	s.offer(0, 1, 0)
 	s.offer(0, 1, 2)
 	s.offer(0, 1, 4)

@@ -17,9 +17,6 @@ type SimConfig struct {
 	Config
 	// Tags is the fleet size.
 	Tags int
-	// SlotSec is one contention slot in seconds. The default 0.005 matches
-	// the 5 ms backscatter burst.
-	SlotSec float64
 	// DurationSec is the simulated horizon.
 	DurationSec float64
 	// StartHour is the hour of day at which the horizon opens (fractional
@@ -46,11 +43,13 @@ type SimConfig struct {
 	NoiseW float64
 }
 
+// SlotSec is one contention slot in seconds: one 5 ms backscatter burst.
+// The demodulator acquires each burst on its opening PSS, so a transmission
+// opportunity is the whole burst and arbitration happens at burst
+// boundaries.
+const SlotSec = 0.005
+
 func (c SimConfig) withDefaults() SimConfig {
-	c.Config = c.Config.withDefaults()
-	if c.SlotSec <= 0 {
-		c.SlotSec = 0.005
-	}
 	if c.MsgBits <= 0 {
 		c.MsgBits = 96
 	}
@@ -114,7 +113,7 @@ func NewSim(cfg SimConfig) *Sim {
 		panic(fmt.Sprintf("fleet: Sim supports up to %d tags, got %d", MaxTags, cfg.Tags))
 	}
 	root := rng.New(cfg.Seed)
-	return &Sim{cfg: cfg, root: root, s: newSched(cfg.Tags, cfg.Config, nil)}
+	return &Sim{cfg: cfg, root: root, s: newSched(cfg.Tags, cfg.MAC, nil)}
 }
 
 // Simulate runs the event-driven fleet engine with no waveform synthesis:
@@ -132,11 +131,11 @@ func Simulate(cfg SimConfig) Report {
 func (m *Sim) Run(startHour, durationSec float64) Report {
 	cfg := m.cfg
 	rArr := m.root.Fork(0xa221) // arrival process
-	rMac := m.root.Fork(0x3ac5) // MAC draws (persistence, backoff)
+	rMac := m.root.Fork(0x3ac5) // MAC draws (backoff)
 	s := m.s
 	s.reset(rMac)
 
-	endSlot := int64(math.Ceil(durationSec / cfg.SlotSec))
+	endSlot := int64(math.Ceil(durationSec / SlotSec))
 	rep := Report{Tags: cfg.Tags, Slots: endSlot}
 
 	// Aggregate arrival process: one exponential stream at the fleet's peak
@@ -161,7 +160,7 @@ func (m *Sim) Run(startHour, durationSec float64) Report {
 	}
 	peakRate := ratePerSec * peak
 	hourAt := func(slot int64) float64 {
-		return startHour + float64(slot)*cfg.SlotSec/3600
+		return startHour + float64(slot)*SlotSec/3600
 	}
 
 	// nextArrival advances the thinned Poisson stream from the given time
@@ -173,7 +172,7 @@ func (m *Sim) Run(startHour, durationSec float64) Report {
 		t := fromSec
 		for {
 			t += rArr.ExpFloat64() / peakRate
-			slot := int64(t / cfg.SlotSec)
+			slot := int64(t / SlotSec)
 			if slot >= endSlot {
 				return 0, 0, false
 			}
@@ -243,7 +242,7 @@ func (m *Sim) Run(startHour, durationSec float64) Report {
 		}
 		berSum += ber
 		bitsSum += float64(cfg.MsgBits) * (1 - ber)
-		lat = append(lat, float64(slot-out.arrivedAt+1)*cfg.SlotSec*1000)
+		lat = append(lat, float64(slot-out.arrivedAt+1)*SlotSec*1000)
 	}
 
 	rep.Events = s.events

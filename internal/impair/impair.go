@@ -7,8 +7,8 @@
 //
 // Each impairment is an independent Stage with its own on/off switch and its
 // own random stream derived from (Config.Seed, stage identity) — never from a
-// shared generator — so enabling, disabling or reordering one stage cannot
-// change another stage's randomness. A run with the same Config is therefore
+// shared generator — so enabling or disabling one stage cannot change another
+// stage's randomness. A run with the same Config is therefore
 // byte-reproducible at any stage combination, which is what lets the
 // resilience sweep (experiments "R1", `lscatter-bench -impair`) attribute a
 // BER change to exactly one knob.
@@ -169,10 +169,6 @@ type Config struct {
 	// SampleRate of the wrapped stream in Hz. Required when any enabled
 	// stage uses time-denominated parameters.
 	SampleRate float64
-	// Order optionally overrides DefaultOrder. Stages listed but not
-	// enabled are skipped; enabled stages missing from the list are
-	// appended in default order.
-	Order []StageKind
 
 	Jitter       JitterConfig
 	SFO          SFOConfig
@@ -223,44 +219,26 @@ type Pipeline struct {
 	stages []Stage
 }
 
-// New builds a pipeline with every enabled stage of cfg, in cfg.Order (or
-// DefaultOrder). It panics on invalid configurations: a time-denominated
-// stage enabled without a sample rate, or a duplicate kind in Order.
+// New builds a pipeline with every enabled stage of cfg, in DefaultOrder. It
+// panics on invalid configurations: a time-denominated stage enabled without
+// a sample rate.
 func New(cfg Config) *Pipeline {
 	return NewFor(cfg, Jitter, SFO, CFO, Interference, ADC)
 }
 
 // NewFor builds a pipeline restricted to the given kinds: a stage runs only
-// when it is both enabled in cfg and listed in kinds. The exact link chain
-// uses this to apply the jitter impairment at the tag while the remaining
-// stages wrap the receiver input.
+// when it is both enabled in cfg and listed in kinds, and the stages run in
+// DefaultOrder whatever the order of kinds. The exact link chain uses this to
+// apply the jitter impairment at the tag while the remaining stages wrap the
+// receiver input.
 func NewFor(cfg Config, kinds ...StageKind) *Pipeline {
 	allow := make([]bool, numStageKinds)
 	for _, k := range kinds {
 		checkKind(k)
 		allow[k] = true
 	}
-	order := cfg.Order
-	if len(order) == 0 {
-		order = DefaultOrder
-	}
-	seen := make([]bool, numStageKinds)
-	var full []StageKind
-	for _, k := range order {
-		checkKind(k)
-		if seen[k] {
-			panic(fmt.Sprintf("impair: stage %v listed twice in Order", k))
-		}
-		seen[k] = true
-		full = append(full, k)
-	}
-	for _, k := range DefaultOrder {
-		if !seen[k] {
-			full = append(full, k)
-		}
-	}
 	p := &Pipeline{}
-	for _, k := range full {
+	for _, k := range DefaultOrder {
 		if !allow[k] || !cfg.enabled(k) {
 			continue
 		}

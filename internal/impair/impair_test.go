@@ -79,28 +79,6 @@ func TestSameSeedReproducible(t *testing.T) {
 	}
 }
 
-// TestAnyStageOrderReproducible: a custom Order is itself reproducible, and
-// every permutation of the stage order yields a deterministic (per-order)
-// stream.
-func TestAnyStageOrderReproducible(t *testing.T) {
-	orders := [][]StageKind{
-		{Jitter, SFO, CFO, Interference, ADC},
-		{ADC, Interference, CFO, SFO, Jitter},
-		{CFO, Jitter, ADC, SFO, Interference},
-		{Interference, ADC, Jitter, CFO, SFO},
-	}
-	blocks := randomBlocks(99, 3, 2048)
-	for _, order := range orders {
-		cfg := severe(7)
-		cfg.Order = order
-		a := processStream(New(cfg), blocks)
-		b := processStream(New(cfg), blocks)
-		if !equalStreams(a, b) {
-			t.Fatalf("order %v: pipelines with the same seed diverged", order)
-		}
-	}
-}
-
 // TestStageStreamsIndependent: disabling one stage must not change the
 // randomness another stage draws. The interference pattern added on top of
 // the input must be identical whether or not the jitter stage runs before it
@@ -352,26 +330,14 @@ func TestInterferenceAddsConfiguredPower(t *testing.T) {
 	}
 }
 
-// TestUnknownOrderKindPanics guards the Config validation.
+// TestUnknownOrderKindPanics guards NewFor's kind validation.
 func TestUnknownOrderKindPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("invalid Order kind did not panic")
+			t.Fatal("invalid stage kind did not panic")
 		}
 	}()
-	cfg := Config{Seed: 1, Order: []StageKind{StageKind(99)}}
-	New(cfg)
-}
-
-// TestDuplicateOrderKindPanics guards against listing a stage twice.
-func TestDuplicateOrderKindPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Order kind did not panic")
-		}
-	}()
-	cfg := Config{Seed: 1, Order: []StageKind{CFO, CFO}}
-	New(cfg)
+	NewFor(Config{Seed: 1}, CFO, StageKind(99))
 }
 
 // TestDescribeNamesStages checks the chain rendering used by the binaries.

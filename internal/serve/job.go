@@ -564,12 +564,14 @@ func (m *Manager) runFlight(fl *flight) {
 			m.disk.Put(fl.key, body)
 		}
 		m.store.Put(fl.key, body)
-		for _, j := range m.finishFlight(fl) {
-			j.finish(Done, body, "")
-		}
+		// Count before finishing: a caller that sees its job finish must
+		// also see the computation in Counters.
 		m.mu.Lock()
 		m.counters.Computed++
 		m.mu.Unlock()
+		for _, j := range m.finishFlight(fl) {
+			j.finish(Done, body, "")
+		}
 	case errors.Is(err, context.Canceled):
 		for _, j := range m.finishFlight(fl) {
 			if j.finish(Canceled, nil, "canceled") {
@@ -577,12 +579,12 @@ func (m *Manager) runFlight(fl *flight) {
 			}
 		}
 	default:
-		for _, j := range m.finishFlight(fl) {
-			j.finish(Failed, nil, err.Error())
-		}
 		m.mu.Lock()
 		m.counters.Failed++
 		m.mu.Unlock()
+		for _, j := range m.finishFlight(fl) {
+			j.finish(Failed, nil, err.Error())
+		}
 	}
 }
 

@@ -59,11 +59,9 @@ type DemodSink struct {
 
 	// OnLTE fires after the LTE receive of every subframe (res may be nil
 	// when err != nil). OnSync fires when a burst preamble is acquired,
-	// before the burst subframe is demodulated. OnResult fires on every
-	// scatter result that produced decisions. Each may be nil.
-	OnLTE    func(f *Frame, res *ue.LTEResult, err error)
-	OnSync   func(f *Frame, res *ue.ScatterResult)
-	OnResult func(f *Frame, res *ue.ScatterResult)
+	// before the burst subframe is demodulated. Each may be nil.
+	OnLTE  func(f *Frame, res *ue.LTEResult, err error)
+	OnSync func(f *Frame, res *ue.ScatterResult)
 
 	// LTEOK counts subframes whose transport block decoded.
 	LTEOK int
@@ -141,9 +139,6 @@ func (k *DemodSink) Consume(f *Frame) bool {
 	}
 	if res == nil {
 		return true
-	}
-	if k.OnResult != nil {
-		k.OnResult(f, res)
 	}
 	if k.CollectBits {
 		for _, dec := range res.Decisions {

@@ -7,55 +7,38 @@
 package tag
 
 import (
-	"math"
 	"math/cmplx"
 
 	"lscatter/internal/dsp"
 	"lscatter/internal/ltephy"
-	"lscatter/internal/rng"
 )
 
-// SyncConfig parameterizes the synchronization circuit. Zero values select
-// the defaults from DefaultSyncConfig.
+// The synchronization circuit's component values (§3.1, Figure 7). They are
+// fixed parts on the tag, so they are constants, not settings.
+const (
+	// envelopeTau is the R1*C2 time constant of the envelope-smoothing RC:
+	// 25 us smooths the microsecond-scale narrowband amplitude ripple while
+	// responding within one 71 us PSS symbol.
+	envelopeTau = 25e-6
+	// averageTau is the averaging-network time constant feeding the
+	// comparator reference.
+	averageTau = 4e-3
+	// tripFactor scales the averaged reference at the comparator's negative
+	// input: the envelope must exceed tripFactor times the running average
+	// to register a PSS.
+	tripFactor = 1.3
+	// hysteresis is the comparator hysteresis fraction.
+	hysteresis = 0.1
+	// comparatorDelay is the comparator propagation delay in seconds
+	// (MAX931 class).
+	comparatorDelay = 12e-6
+)
+
+// SyncConfig configures what the synchronization circuit records; the
+// circuit itself is fixed (see the constants above).
 type SyncConfig struct {
-	// EnvelopeTau is the R1*C2 time constant of the envelope-smoothing RC
-	// (default 25 us — smooths the microsecond-scale narrowband amplitude
-	// ripple while responding within one 71 us PSS symbol).
-	EnvelopeTau float64
-	// AverageTau is the averaging-network time constant feeding the
-	// comparator reference (default 4 ms).
-	AverageTau float64
-	// TripFactor scales the averaged reference at the comparator's negative
-	// input (default 1.3): the envelope must exceed TripFactor times the
-	// running average to register a PSS.
-	TripFactor float64
-	// Hysteresis is the comparator hysteresis fraction (default 0.1).
-	Hysteresis float64
-	// ComparatorDelay is the comparator propagation delay in seconds
-	// (default 12 us, MAX931 class).
-	ComparatorDelay float64
-	// TimingJitterRMS adds a zero-mean Gaussian error of this many seconds
-	// RMS to each detection instant, modeling comparator trip-point noise on
-	// the envelope ramp (the residual spread Figure 31 measures). 0 disables
-	// jitter; draws come from a dedicated stream seeded by JitterSeed, so the
-	// rest of the simulation is unaffected.
-	TimingJitterRMS float64
-	// JitterSeed seeds the jitter stream (only used when TimingJitterRMS > 0).
-	JitterSeed uint64
 	// Trace records per-stage outputs for the Figure 8 reproduction.
 	Trace bool
-}
-
-// DefaultSyncConfig returns the circuit constants used throughout the
-// evaluation.
-func DefaultSyncConfig() SyncConfig {
-	return SyncConfig{
-		EnvelopeTau:     25e-6,
-		AverageTau:      4e-3,
-		TripFactor:      1.3,
-		Hysteresis:      0.1,
-		ComparatorDelay: 12e-6,
-	}
 }
 
 // Detection is one comparator rising edge: the circuit's belief that a PSS
@@ -85,7 +68,6 @@ type SyncTrace struct {
 // central 0.93 MHz where the PSS concentrates boosted cell power for one
 // symbol every 5 ms, which is what makes the PSS stand out in the envelope.
 type SyncCircuit struct {
-	cfg       SyncConfig
 	params    ltephy.Params
 	decim     []int // cascade of decimation factors
 	decimRate float64
@@ -93,37 +75,20 @@ type SyncCircuit struct {
 	env       *dsp.RC
 	avg       *dsp.RC
 	comp      *dsp.Comparator
-	firs      []*dsp.FIR  // cascade anti-alias filters (streaming)
-	phase     []int       // per-stage decimation phase counters
-	state     bool        // last comparator output (for edge detect)
-	samplesIn int         // total oversampled samples consumed
-	warmup    int         // decimated samples to ignore while averaging settles
-	seen      int         // decimated samples processed
-	holdoff   int         // decimated samples to suppress re-triggering
-	lastDet   int         // seen-counter at the last detection
-	jitter    *rng.Source // detection-instant jitter (nil when disabled)
+	firs      []*dsp.FIR // cascade anti-alias filters (streaming)
+	phase     []int      // per-stage decimation phase counters
+	state     bool       // last comparator output (for edge detect)
+	samplesIn int        // total oversampled samples consumed
+	warmup    int        // decimated samples to ignore while averaging settles
+	seen      int        // decimated samples processed
+	holdoff   int        // decimated samples to suppress re-triggering
+	lastDet   int        // seen-counter at the last detection
 	trace     *SyncTrace
 }
 
 // NewSyncCircuit builds the circuit for the given waveform parameters.
 func NewSyncCircuit(p ltephy.Params, cfg SyncConfig) *SyncCircuit {
-	def := DefaultSyncConfig()
-	if cfg.EnvelopeTau == 0 {
-		cfg.EnvelopeTau = def.EnvelopeTau
-	}
-	if cfg.AverageTau == 0 {
-		cfg.AverageTau = def.AverageTau
-	}
-	if cfg.Hysteresis == 0 {
-		cfg.Hysteresis = def.Hysteresis
-	}
-	if cfg.TripFactor == 0 {
-		cfg.TripFactor = def.TripFactor
-	}
-	if cfg.ComparatorDelay == 0 {
-		cfg.ComparatorDelay = def.ComparatorDelay
-	}
-	s := &SyncCircuit{cfg: cfg, params: p}
+	s := &SyncCircuit{params: p}
 	// Decimate the oversampled stream down to ~1.92 Msps in stages of <= 8.
 	rate := p.SampleRate()
 	target := 1.92e6
@@ -144,21 +109,15 @@ func NewSyncCircuit(p ltephy.Params, cfg SyncConfig) *SyncCircuit {
 	s.decimRate = rate
 	// Matching-network selectivity: pass only the PSS half-bandwidth.
 	s.front = dsp.LowPassFIR(ltephy.PSSBandwidth/2, rate, 101)
-	s.env = dsp.NewRC(cfg.EnvelopeTau, rate)
-	s.avg = dsp.NewRC(cfg.AverageTau, rate)
-	s.comp = dsp.NewComparator(cfg.Hysteresis, int(cfg.ComparatorDelay*rate))
-	s.warmup = int(2.5 * cfg.AverageTau * rate)
+	s.env = dsp.NewRC(envelopeTau, rate)
+	s.avg = dsp.NewRC(averageTau, rate)
+	s.comp = dsp.NewComparator(hysteresis, int(comparatorDelay*rate))
+	s.warmup = int(2.5 * averageTau * rate)
 	// Debounce: the FPGA ignores further edges for 2 ms after a detection
 	// (well under the 5 ms PSS period) so envelope ripple at the top of a
 	// PSS peak cannot double-count.
 	s.holdoff = int(2e-3 * rate)
 	s.lastDet = -s.holdoff
-	if cfg.TimingJitterRMS < 0 {
-		panic("tag: sync timing-jitter RMS must be >= 0")
-	}
-	if cfg.TimingJitterRMS > 0 {
-		s.jitter = rng.New(cfg.JitterSeed)
-	}
 	if cfg.Trace {
 		s.trace = &SyncTrace{SampleRate: rate}
 	}
@@ -198,7 +157,7 @@ func (s *SyncCircuit) Process(x []complex128) []Detection {
 		nb := s.front.ProcessSample(v)
 		env := s.env.ProcessSample(cmplx.Abs(nb))
 		ref := s.avg.ProcessSample(env)
-		out := s.comp.ProcessSample(env, ref*s.cfg.TripFactor)
+		out := s.comp.ProcessSample(env, ref*tripFactor)
 		s.seen++
 		if s.trace != nil {
 			s.trace.Envelope = append(s.trace.Envelope, env)
@@ -212,15 +171,6 @@ func (s *SyncCircuit) Process(x []complex128) []Detection {
 		if out && !s.state && s.seen > s.warmup && s.seen-s.lastDet >= s.holdoff {
 			s.lastDet = s.seen
 			idx := s.samplesIn - 1
-			if s.jitter != nil {
-				// Comparator trip-point noise: perturb the reported instant
-				// without disturbing the circuit's internal state.
-				idx += int(math.Round(s.jitter.NormFloat64() *
-					s.cfg.TimingJitterRMS * s.params.SampleRate()))
-				if idx < 0 {
-					idx = 0
-				}
-			}
 			dets = append(dets, Detection{
 				SampleIndex: idx,
 				Time:        float64(idx) / s.params.SampleRate(),
@@ -249,7 +199,7 @@ func (s *SyncCircuit) NominalDelay() float64 {
 	// receiver's PSS timing, exactly as the paper's Figure 31 comparison
 	// does; the residual jitter is what Fig 31 plots.
 	delay += 7e-6
-	delay += s.cfg.ComparatorDelay
+	delay += comparatorDelay
 	return delay
 }
 

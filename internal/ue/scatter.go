@@ -20,9 +20,6 @@ type ScatterConfig struct {
 	// modulation-offset search around the nominal window position
 	// (§3.3.2). It must cover the tag's worst-case residual timing error.
 	OffsetSearch int
-	// SmoothBins is the smoothing window (in FFT bins) for the backscatter
-	// channel estimate from the preamble. 0 selects the default 15.
-	SmoothBins int
 	// RefineIters is the number of Eq. 7 refinement passes: each pass
 	// reconstructs the band-limited hybrid from the current bit decisions,
 	// cancels the inter-unit interference the band-limiting introduces, and
@@ -34,10 +31,14 @@ type ScatterConfig struct {
 	TagIDs []int
 }
 
+// smoothBins is the half-width (in FFT bins) of the window that smooths the
+// backscatter channel estimate from the preamble.
+const smoothBins = 15
+
 // DefaultScatterConfig returns the demodulator configuration used in the
 // evaluation.
 func DefaultScatterConfig(p ltephy.Params) ScatterConfig {
-	return ScatterConfig{Params: p, Mode: tag.DSB, OffsetSearch: 64, SmoothBins: 15, RefineIters: 2}
+	return ScatterConfig{Params: p, Mode: tag.DSB, OffsetSearch: 64, RefineIters: 2}
 }
 
 // SymbolDecision is the demodulated content of one OFDM symbol.
@@ -104,9 +105,6 @@ type ScatterDemod struct {
 
 // NewScatterDemod builds the demodulator.
 func NewScatterDemod(cfg ScatterConfig) *ScatterDemod {
-	if cfg.SmoothBins == 0 {
-		cfg.SmoothBins = 15
-	}
 	if cfg.OffsetSearch == 0 {
 		cfg.OffsetSearch = 64
 	}
@@ -453,7 +451,6 @@ func (d *ScatterDemod) estimateChannel(z, refSamples []complex128, preSym int, p
 	// Energy-weighted local least squares (maximum-ratio style): bins where
 	// the expected spectrum is strong dominate the estimate, so spectral
 	// nulls of the excitation do not inject noise.
-	sm := d.cfg.SmoothBins
 	out := make([]complex128, d.n)
 	for b := range out {
 		if !d.cleanBin[b] {
@@ -461,7 +458,7 @@ func (d *ScatterDemod) estimateChannel(z, refSamples []complex128, preSym int, p
 		}
 		var num complex128
 		var den float64
-		for j := -sm; j <= sm; j++ {
+		for j := -smoothBins; j <= smoothBins; j++ {
 			bb := (b + j + d.n) % d.n
 			if !d.cleanBin[bb] {
 				continue

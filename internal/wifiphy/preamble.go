@@ -71,16 +71,22 @@ func Preamble() []complex128 {
 	return out
 }
 
-// The LTF is a constant of the standard, so its matched filter (reference
-// spectrum and plan) is built once per process.
+// The LTF is a constant of the standard, so its matched filter (a
+// one-reference bank holding the reference spectrum and plan) and its energy
+// are computed once per process.
 var (
-	ltfOnce sync.Once
-	ltfCorr *dsp.Correlator
+	ltfOnce   sync.Once
+	ltfBank   *dsp.CorrelatorBank
+	ltfEnergy float64
 )
 
-func ltfCorrelator() *dsp.Correlator {
-	ltfOnce.Do(func() { ltfCorr = dsp.NewCorrelator(ltfSymbol()) })
-	return ltfCorr
+func ltfCorrelator() (*dsp.CorrelatorBank, float64) {
+	ltfOnce.Do(func() {
+		ltf := ltfSymbol()
+		ltfBank = dsp.NewCorrelatorBank([][]complex128{ltf})
+		ltfEnergy = dsp.Energy(ltf)
+	})
+	return ltfBank, ltfEnergy
 }
 
 // ltfFreqRef returns the known LTF subcarrier values for channel estimation.
@@ -132,9 +138,8 @@ func DetectPacket(x []complex128) (start int, conf float64, ok bool) {
 	// both the detection test and the earliest-peak re-scan below; segment
 	// energy advances by a running recurrence instead of a fresh O(M) sum
 	// per lag, and everything compares in the squared domain.
-	ltfC := ltfCorrelator()
+	ltfC, refE := ltfCorrelator()
 	m := ltfC.RefLen()
-	refE := ltfC.RefEnergy()
 	searchLo := bestI + 40
 	searchHi := bestI + 300
 	if searchHi+m > len(x) {
@@ -146,7 +151,7 @@ func DetectPacket(x []complex128) (start int, conf float64, ok bool) {
 	seg := x[searchLo : searchHi+m]
 	corrBuf := dsp.AcquireBuf(len(seg) - m + 1)
 	defer dsp.ReleaseBuf(corrBuf)
-	corrs := ltfC.Correlate(*corrBuf, seg)
+	corrs := ltfC.CorrelateAll([][]complex128{*corrBuf}, seg)[0]
 	peakSq := -1.0
 	segE := dsp.Energy(seg[:m])
 	for l := range corrs {

@@ -18,7 +18,12 @@
 #      inside a backtick code span in the same files, where internal/pkg
 #      exists, must name something the package's non-test Go files declare
 #      (a top-level func, type, var or const, a method, or a struct field).
-#      Spans inside fenced code blocks, and path components such as
+#      A three-part "pkg.Type.Member" span must also resolve its member:
+#      when the package declares Type as a type, Member must be a field of
+#      its struct body or a method with a Type receiver (promoted fields of
+#      embedded types do not count); otherwise (Type is a var or func)
+#      Member must be declared somewhere in the package. Spans inside
+#      fenced code blocks, and path components such as
 #      "internal/fleet/sim.go", are not checked.
 #   5. Every docs page a reader is pointed at exists: each "docs/<NAME>.md"
 #      path in the same files and in the comments of non-test Go files, and
@@ -153,7 +158,22 @@ echo "docscheck: OK — every make target the docs name exists"
 # rules the token out). A declaration is a line that opens with func (with
 # or without a receiver), type, var or const before Name, or an indented
 # line (struct field, interface method, grouped const/var/type) whose first
-# names include Name; "Name:" keys of composite literals do not count.
+# names include Name; "Name:" keys of composite literals do not count. A
+# third component is checked against the named type's struct body and
+# methods by member_declared.
+member_declared() { # <type> <member> <file>...
+    mt=$1 mm=$2
+    shift 2
+    awk -v T="$mt" -v M="$mm" '
+        $0 ~ "^type " T " struct \\{" { inside = 1; next }
+        inside && /^}/ { inside = 0 }
+        inside && $0 ~ "^[[:space:]]+([A-Za-z_][A-Za-z0-9_]*, )*" M "([^A-Za-z0-9_:]|$)" { found = 1 }
+        $0 ~ "^func \\([^)]*[ *]" T "\\) " M "[[(]" { found = 1 }
+        END { exit !found }' "$@"
+}
+decl_re() { # <name>: a top-level or indented declaration of name
+    echo "^(func (\\([^)]*\\) )?|type |var |const |[[:space:]]+([A-Za-z_][A-Za-z0-9_]*, )*)$1([^A-Za-z0-9_:]|\$)"
+}
 unresolved=$(
     # shellcheck disable=SC2086 # $docs is a word list with a glob.
     awk '
@@ -165,7 +185,7 @@ unresolved=$(
             while (match(line, /`[^`]+`/)) {
                 span = " " substr(line, RSTART + 1, RLENGTH - 2)
                 line = substr(line, RSTART + RLENGTH)
-                while (match(span, /[^A-Za-z0-9_.\/-][a-z][a-z0-9]*\.[A-Za-z_][A-Za-z0-9_]*/)) {
+                while (match(span, /[^A-Za-z0-9_.\/-][a-z][a-z0-9]*\.[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)?/)) {
                     print FILENAME ":" FNR "\t" substr(span, RSTART + 1, RLENGTH - 1)
                     span = substr(span, RSTART + RLENGTH)
                 }
@@ -173,13 +193,24 @@ unresolved=$(
         }' $docs |
     while IFS="$(printf '\t')" read -r where ident; do
         pkg=${ident%%.*}
-        name=${ident#*.}
+        rest=${ident#*.}
+        name=${rest%%.*}
+        member=""
+        [ "$rest" = "$name" ] || member=${rest#*.}
         [ -d "internal/$pkg" ] || continue
         case "$name" in go | md | json | sh) continue ;; esac
         files=$(find "internal/$pkg" -maxdepth 1 -name '*.go' ! -name '*_test.go')
         [ -n "$files" ] || continue
         # shellcheck disable=SC2086 # $files is a word list of paths.
-        if ! grep -Eq "^(func (\([^)]*\) )?|type |var |const |[[:space:]]+([A-Za-z_][A-Za-z0-9_]*, )*)$name([^A-Za-z0-9_:]|\$)" $files; then
+        if ! grep -Eq "$(decl_re "$name")" $files; then
+            echo "$where: \`$ident\`"
+            continue
+        fi
+        [ -n "$member" ] || continue
+        # shellcheck disable=SC2086 # $files is a word list of paths.
+        if grep -Eq "^type $name " $files; then
+            member_declared "$name" "$member" $files || echo "$where: \`$ident\`"
+        elif ! grep -Eq "$(decl_re "$member")" $files; then
             echo "$where: \`$ident\`"
         fi
     done

@@ -52,6 +52,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dsp -run='^$$' -fuzz=FuzzCorrelatorEquivalence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dsp -run='^$$' -fuzz=FuzzFIREquivalence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bits -run='^$$' -fuzz=FuzzViterbiEquivalence -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/modem -run='^$$' -fuzz=FuzzDemapSoftEquivalence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzSpecDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/store -run='^$$' -fuzz=FuzzArtifactDecode -fuzztime=$(FUZZTIME)
 
@@ -76,8 +77,8 @@ bench:
 # Diff two `lscatter-bench -metrics` reports (override OLD/NEW to compare
 # other runs); fails on an allocation regression beyond the threshold in
 # tools/benchdiff.
-OLD ?= BENCH_R2.json
-NEW ?= BENCH_R3.json
+OLD ?= BENCH_R3.json
+NEW ?= BENCH_R4.json
 bench-compare:
 	sh tools/benchdiff.sh $(OLD) $(NEW)
 

@@ -234,16 +234,22 @@ func (m *Multipath) Apply(x []complex128) []complex128 {
 	return out
 }
 
+// The Ricean LoS fade's constants: K = 7 dB, the specular amplitude
+// √(K/(K+1)) and the per-axis scatter deviation √(1/(2(K+1))), computed once
+// rather than per draw.
+var (
+	riceK     = math.Pow(10, 0.7)
+	riceLoS   = math.Sqrt(riceK / (riceK + 1))
+	riceSigma = math.Sqrt(1 / (2 * (riceK + 1)))
+)
+
 // FadePower draws a unit-mean power fade: Ricean with K = 7 dB when los,
 // Rayleigh otherwise. It is the flat link fade of the semi-analytic models,
 // which Monte-Carlo their BER over it; each call draws two normals from r.
 func FadePower(r *rng.Source, los bool) float64 {
 	if los {
-		k := math.Pow(10, 0.7)
-		s := math.Sqrt(k / (k + 1))
-		sigma := math.Sqrt(1 / (2 * (k + 1)))
-		re := s + sigma*r.NormFloat64()
-		im := sigma * r.NormFloat64()
+		re := riceLoS + riceSigma*r.NormFloat64()
+		im := riceSigma * r.NormFloat64()
 		return re*re + im*im
 	}
 	re := r.NormFloat64() / math.Sqrt2

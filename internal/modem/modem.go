@@ -189,31 +189,103 @@ func slice64(v float64) (b0, b1, b2 byte) {
 
 // DemapSoft produces per-bit LLRs (positive = bit 0 likely) using the
 // max-log approximation with the given noise variance.
+//
+// The demapper is separable: every constellation here is the Cartesian
+// product of an I axis carrying the even bits and a Q axis carrying the odd
+// bits, and float addition rounds monotonically, so the smallest squared
+// distance over a set of points, dI² + dQ², is exactly the smallest dI²
+// plus the smallest dQ². Each symbol takes one squared distance per axis
+// level instead of one per point and bit.
 func DemapSoft(s Scheme, syms []complex128, noiseVar float64) []float64 {
 	if noiseVar <= 0 {
 		noiseVar = 1e-12
 	}
 	bps := s.BitsPerSymbol()
-	points, bitsOf := constellationTable(s)
-	out := make([]float64, 0, len(syms)*bps)
-	for _, y := range syms {
-		for bit := 0; bit < bps; bit++ {
-			best0, best1 := math.Inf(1), math.Inf(1)
-			for pi, p := range points {
-				d := y - p
-				dist := real(d)*real(d) + imag(d)*imag(d)
-				if bitsOf[pi][bit] == 0 {
-					if dist < best0 {
-						best0 = dist
-					}
-				} else if dist < best1 {
-					best1 = dist
-				}
+	ax := &demapAxes[s]
+	out := make([]float64, len(syms)*bps)
+	var bestI, bestQ axisBest
+	for n, y := range syms {
+		minI := ax[0].minima(real(y), &bestI)
+		minQ := ax[1].minima(imag(y), &bestQ)
+		llr := out[n*bps : (n+1)*bps]
+		for b := range llr {
+			var best0, best1 float64
+			if b%2 == 0 {
+				best0, best1 = bestI[0][b/2]+minQ, bestI[1][b/2]+minQ
+			} else {
+				best0, best1 = minI+bestQ[0][b/2], minI+bestQ[1][b/2]
 			}
-			out = append(out, (best1-best0)/noiseVar)
+			llr[b] = (best1 - best0) / noiseVar
 		}
 	}
 	return out
+}
+
+// demapAxis is one quadrature axis of a constellation: level j is the axis
+// coordinate of the points whose axis bits, read MSB first, spell j. The I
+// axis carries a scheme's even bits (0, 2, 4), the Q axis its odd bits; the
+// BPSK Q axis carries none and has the single level 0.
+type demapAxis struct {
+	levels []float64
+	nbits  int
+}
+
+// axisBest holds, per axis bit k, the smallest squared distance to a level
+// whose bit k is 0 ([0][k]) or 1 ([1][k]).
+type axisBest [2][3]float64
+
+// demapAxes holds the I and Q axes of every scheme, taken from the points
+// MapSymbol builds so the levels are the same float64s.
+var demapAxes = func() (t [QAM64 + 1][2]demapAxis) {
+	for s := range t {
+		t[s] = schemeAxes(Scheme(s))
+	}
+	return t
+}()
+
+func schemeAxes(s Scheme) [2]demapAxis {
+	bps := s.BitsPerSymbol()
+	ax := [2]demapAxis{{nbits: (bps + 1) / 2}, {nbits: bps / 2}}
+	for a := range ax {
+		ax[a].levels = make([]float64, 1<<ax[a].nbits)
+	}
+	points, bitsOf := constellationTable(s)
+	for v, p := range points {
+		var iIdx, qIdx int
+		for b, bit := range bitsOf[v] {
+			if b%2 == 0 {
+				iIdx = iIdx<<1 | int(bit)
+			} else {
+				qIdx = qIdx<<1 | int(bit)
+			}
+		}
+		ax[0].levels[iIdx] = real(p)
+		ax[1].levels[qIdx] = imag(p)
+	}
+	return ax
+}
+
+// minima returns the smallest squared distance from v to any level of the
+// axis and fills best with the per-bit minima. A NaN coordinate leaves every
+// minimum at +Inf, as the point-by-point search did.
+func (a *demapAxis) minima(v float64, best *axisBest) float64 {
+	all := math.Inf(1)
+	for k := 0; k < a.nbits; k++ {
+		best[0][k], best[1][k] = all, all
+	}
+	for j, l := range a.levels {
+		d := v - l
+		dist := d * d
+		if dist < all {
+			all = dist
+		}
+		for k := 0; k < a.nbits; k++ {
+			if bit := j >> (a.nbits - 1 - k) & 1; dist < best[bit][k] {
+				best[bit][k] = dist
+			}
+		}
+	}
+	return all
 }
 
 // constellationTable enumerates every point of the scheme with its bits.

@@ -95,9 +95,10 @@ func (r *Source) NormFloat64() float64 {
 	}
 	v := r.Float64()
 	mag := math.Sqrt(-2 * math.Log(u))
-	r.gauss = mag * math.Sin(2*math.Pi*v)
+	sin, cos := math.Sincos(2 * math.Pi * v)
+	r.gauss = mag * sin
 	r.hasGauss = true
-	return mag * math.Cos(2*math.Pi*v)
+	return mag * cos
 }
 
 // ExpFloat64 returns an exponential variate with rate 1 (mean 1).

@@ -162,12 +162,13 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !s.manager.Cancel(id) {
-		writeError(w, http.StatusNotFound, "unknown run %q", id)
+	// Look the job up first: a finished job may be evicted between Cancel
+	// and a later lookup, and its status no longer changes.
+	job, ok := s.job(w, r)
+	if !ok {
 		return
 	}
-	job, _ := s.manager.Get(id)
+	s.manager.Cancel(r.PathValue("id"))
 	writeJSON(w, http.StatusOK, job.Status())
 }
 

@@ -120,6 +120,13 @@ func (j *Job) Results() ([]byte, bool) {
 // Finished returns a channel closed when the job reaches a terminal state.
 func (j *Job) Finished() <-chan struct{} { return j.finished }
 
+// terminal reports whether the job has reached a terminal state.
+func (j *Job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.events.terminal
+}
+
 // ETag is the strong validator served with the result body and carried by
 // the stream's end event.
 func (j *Job) ETag() string { return fmt.Sprintf("%q", j.key.SpecHash) }
@@ -237,6 +244,12 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
+// maxRetainedJobs bounds the job table. Finished jobs stay listed and
+// servable (status, results, event replay) until the table grows a quarter
+// past this bound; the oldest finished jobs are then dropped until it holds
+// at most maxRetainedJobs again. Queued and running jobs are never dropped.
+const maxRetainedJobs = 256
+
 // Manager owns the job queue, the worker pool and the artifact stores. It is
 // the service's only stateful component; handlers are a thin HTTP skin over
 // it.
@@ -248,6 +261,7 @@ type Manager struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string // submission order, for listing
+	pruneAt  int      // table size at which registerLocked evicts finished jobs
 	inflight map[store.Key]*flight
 	nextID   uint64
 	counters Counters
@@ -276,6 +290,7 @@ func NewManager(opts Options) (*Manager, error) {
 		opts:     opts,
 		store:    store.NewMemory(opts.StoreEntries),
 		jobs:     make(map[string]*Job),
+		pruneAt:  maxRetainedJobs + maxRetainedJobs/4,
 		inflight: make(map[store.Key]*flight),
 		queue:    make(chan *flight, opts.QueueDepth),
 	}
@@ -323,6 +338,30 @@ func (m *Manager) registerLocked(job *Job) {
 	m.jobs[job.id] = job
 	m.order = append(m.order, job.id)
 	m.counters.Submitted++
+	if len(m.order) > m.pruneAt {
+		m.pruneLocked()
+	}
+}
+
+// pruneLocked evicts the oldest finished jobs until at most maxRetainedJobs
+// remain, skipping queued and running ones. The next prune waits for the
+// table to grow by a quarter again, so each registration pays O(1)
+// amortized even when live jobs hold the table above the bound. Lock order
+// is the manager's mu, then a job's.
+func (m *Manager) pruneLocked() {
+	excess := len(m.order) - maxRetainedJobs
+	kept := m.order[:0]
+	for _, id := range m.order {
+		if excess > 0 && m.jobs[id].terminal() {
+			delete(m.jobs, id)
+			excess--
+			continue
+		}
+		kept = append(kept, id)
+	}
+	clear(m.order[len(kept):])
+	m.order = kept
+	m.pruneAt = len(kept) + max(len(kept), maxRetainedJobs)/4
 }
 
 // Submit validates nothing — the caller passes a normalized spec — and
@@ -412,7 +451,7 @@ func (m *Manager) Submit(normalized *Spec) (*Job, error) {
 	}
 }
 
-// Get returns a job by ID.
+// Get returns a retained job by ID; an evicted finished job is unknown.
 func (m *Manager) Get(id string) (*Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -420,7 +459,7 @@ func (m *Manager) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs lists job statuses in submission order.
+// Jobs lists the retained jobs' statuses in submission order.
 func (m *Manager) Jobs() []JobStatus {
 	m.mu.Lock()
 	ids := append([]string(nil), m.order...)

@@ -69,7 +69,6 @@ func TestClosedLoopDeviceChain(t *testing.T) {
 	// Receive everything the device modulated.
 	lteRx := NewLTEReceiver(p, cfg.Scheme)
 	scfg := DefaultScatterConfig(p)
-	scfg.OffsetSearch = 60
 	sc := NewScatterDemod(scfg)
 	r := rng.New(9)
 	errs, total := 0, 0

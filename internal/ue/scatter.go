@@ -16,10 +16,6 @@ type ScatterConfig struct {
 	Params ltephy.Params
 	// Mode must match the tag's switching topology.
 	Mode tag.Mode
-	// OffsetSearch is the half-range, in basic-timing units, of the
-	// modulation-offset search around the nominal window position
-	// (§3.3.2). It must cover the tag's worst-case residual timing error.
-	OffsetSearch int
 	// RefineIters is the number of Eq. 7 refinement passes: each pass
 	// reconstructs the band-limited hybrid from the current bit decisions,
 	// cancels the inter-unit interference the band-limiting introduces, and
@@ -35,10 +31,15 @@ type ScatterConfig struct {
 // backscatter channel estimate from the preamble.
 const smoothBins = 15
 
+// offsetSearch is the half-range, in basic-timing units, of the
+// modulation-offset search around the nominal window position (§3.3.2). It
+// covers the tag's worst-case residual timing error.
+const offsetSearch = 64
+
 // DefaultScatterConfig returns the demodulator configuration used in the
 // evaluation.
 func DefaultScatterConfig(p ltephy.Params) ScatterConfig {
-	return ScatterConfig{Params: p, Mode: tag.DSB, OffsetSearch: 64, RefineIters: 2}
+	return ScatterConfig{Params: p, Mode: tag.DSB, RefineIters: 2}
 }
 
 // SymbolDecision is the demodulated content of one OFDM symbol.
@@ -86,6 +87,7 @@ type ScatterDemod struct {
 	cleanBin []bool       // usable hybrid observation bins
 	// precomputed state (read-only after construction)
 	wave    []complex128        // downshifted phase-0 switch waveform per unit
+	mixer   []complex128        // downshift phasors, indexed by (position % Oversample) + Oversample - 1
 	kTime   []complex128        // IFFT of the clean-bin indicator (projection kernel)
 	preBank *dsp.CorrelatorBank // preamble sign sequences, one per configured tag
 	tagIDs  []int               // resolved tag list (defaults to {0})
@@ -105,9 +107,6 @@ type ScatterDemod struct {
 
 // NewScatterDemod builds the demodulator.
 func NewScatterDemod(cfg ScatterConfig) *ScatterDemod {
-	if cfg.OffsetSearch == 0 {
-		cfg.OffsetSearch = 64
-	}
 	if cfg.RefineIters == 0 {
 		cfg.RefineIters = 2
 	} else if cfg.RefineIters < 0 {
@@ -123,6 +122,7 @@ func NewScatterDemod(cfg ScatterConfig) *ScatterDemod {
 		plan: dsp.PlanFor(n),
 	}
 	d.cleanBin = d.computeCleanBins()
+	d.mixer = mixerTable(p.Oversample)
 	d.wave = d.refWaveUnit()
 	// The clean-bin projection kernel only depends on the bin mask, so the
 	// refinement stage reuses one IFFT forever.
@@ -233,6 +233,18 @@ func (d *ScatterDemod) checkInputs(rx, refSamples []complex128, subframe int) {
 	}
 }
 
+// mixerTable returns the downshift phasors exp(-j*2*pi*m/ov) for every
+// remainder m = n % ov a stream position n can give, negative ones included:
+// entry m + ov - 1 holds the phasor of m in [-(ov-1), ov-1].
+func mixerTable(ov int) []complex128 {
+	tab := make([]complex128, 2*ov-1)
+	for m := -(ov - 1); m < ov; m++ {
+		ph := -2 * math.Pi * float64(m) / float64(ov)
+		tab[m+ov-1] = cmplx.Exp(complex(0, ph))
+	}
+	return tab
+}
+
 // downshift fills the z scratch with x multiplied by
 // exp(-j*2*pi*n/Oversample): it moves the upper backscatter sideband at
 // +1/Ts to baseband. startSample anchors the mixer phase to the absolute
@@ -241,8 +253,7 @@ func (d *ScatterDemod) downshift(x []complex128, startSample int) []complex128 {
 	ov := d.cfg.Params.Oversample
 	out := d.scrZ[:len(x)]
 	for i := range x {
-		ph := -2 * math.Pi * float64((startSample+i)%ov) / float64(ov)
-		out[i] = x[i] * cmplx.Exp(complex(0, ph))
+		out[i] = x[i] * d.mixer[(startSample+i)%ov+ov-1]
 	}
 	return out
 }
@@ -362,11 +373,11 @@ func (d *ScatterDemod) AcquireBurst(rx, refSamples []complex128, subframe, start
 	nBits := d.preBank.RefLen()
 	tagIDs := d.tagIDs
 	nominal := d.windowStartUnitInSymbol()
-	lo := nominal - d.cfg.OffsetSearch
+	lo := nominal - offsetSearch
 	if lo < 0 {
 		lo = 0
 	}
-	hi := nominal + d.cfg.OffsetSearch
+	hi := nominal + offsetSearch
 	if max := d.nNom - nBits; hi > max {
 		hi = max
 	}

@@ -74,13 +74,14 @@ figures:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Diff two `lscatter-bench -metrics` reports (override OLD/NEW to compare
-# other runs); fails on an allocation regression beyond the threshold in
-# tools/benchdiff.
+# Diff two `lscatter-bench -metrics` reports with tools/benchdiff (override
+# OLD/NEW to compare other runs): per-artifact wall clock and allocation
+# deltas plus totals; fails on a total alloc_bytes regression beyond the
+# tool's threshold.
 OLD ?= BENCH_R3.json
 NEW ?= BENCH_R4.json
 bench-compare:
-	sh tools/benchdiff.sh $(OLD) $(NEW)
+	$(GO) run ./tools/benchdiff $(OLD) $(NEW)
 
 # Print the float Session's real-time factor at 20 MHz; see
 # docs/PERFORMANCE.md.

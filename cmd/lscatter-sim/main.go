@@ -10,8 +10,9 @@
 //	lscatter-sim -sweep 10:200:10 -parallel 0
 //
 // A -sweep evaluates one link per distance step; -parallel fans the points
-// out over a worker pool (0 = NumCPU). Every point is seeded independently,
-// so the printed table is identical at any worker count.
+// out over experiments.RunOrdered's pool (0 = NumCPU, never more workers
+// than points; below 0 is a usage error and exits 2). Every point is seeded
+// independently, so the printed table is identical at any worker count.
 //
 // Fault injection (exact mode only): -impair selects a named level of the
 // resilience ladder (off, mild, moderate, severe; see docs/RESILIENCE.md),
@@ -20,11 +21,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"sync"
 
 	"lscatter/internal/channel"
 	"lscatter/internal/core"
@@ -32,35 +33,6 @@ import (
 	"lscatter/internal/impair"
 	"lscatter/internal/ltephy"
 )
-
-// sweepPoints evaluates one core.Run per distance on a pool of workers and
-// returns the reports in point order.
-func sweepPoints(cfgs []core.LinkConfig, workers int) []core.LinkReport {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	reports := make([]core.LinkReport, len(cfgs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				reports[i] = core.Run(cfgs[i])
-			}
-		}()
-	}
-	for i := range cfgs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return reports
-}
 
 // impairmentFor assembles the fault-injection config from the -impair level
 // and the individual stage flags (which override or extend the level). It
@@ -109,32 +81,46 @@ func bandwidthFlag(v string) (ltephy.Bandwidth, error) {
 	return 0, fmt.Errorf("unknown bandwidth %q (use 1.4, 3, 5, 10, 15 or 20)", v)
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the report or the sweep
+// table to stdout and usage errors to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lscatter-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bwStr     = flag.String("bw", "20", "LTE bandwidth in MHz (1.4, 3, 5, 10, 15, 20)")
-		enbTag    = flag.Float64("enb-tag", 3, "eNodeB-to-tag distance in feet")
-		tagUE     = flag.Float64("tag-ue", 3, "tag-to-UE distance in feet")
-		enbUE     = flag.Float64("enb-ue", 0, "eNodeB-to-UE distance in feet (default: sum of the hops)")
-		power     = flag.Float64("power", 10, "eNodeB transmit power in dBm")
-		exponent  = flag.Float64("exponent", 2.2, "path-loss exponent")
-		nlos      = flag.Bool("nlos", false, "non-line-of-sight fading")
-		mode      = flag.String("mode", "analytic", "evaluation mode: analytic or exact")
-		subframes = flag.Int("subframes", 5, "subframes to simulate in exact mode")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		sweep     = flag.String("sweep", "", "sweep tag-to-UE distance: \"start:stop:step\" in feet, prints a table")
-		parallel  = flag.Int("parallel", 1, "worker count for -sweep (0 = NumCPU, 1 = sequential)")
-		level     = flag.String("impair", "", "impairment level for exact mode: off, mild, moderate or severe")
-		cfoHz     = flag.Float64("cfo", 0, "carrier-frequency offset in Hz (exact mode; enables the CFO stage)")
-		sfoPPM    = flag.Float64("sfo-ppm", 0, "sampling clock offset in ppm (exact mode; enables the SFO stage)")
-		adcBits   = flag.Int("adc-bits", 0, "ADC resolution in bits (exact mode; enables the ADC stage)")
-		jitterRMS = flag.Float64("jitter-rms", 0, "tag timing jitter RMS in basic-timing units (exact mode)")
+		bwStr     = fs.String("bw", "20", "LTE bandwidth in MHz (1.4, 3, 5, 10, 15, 20)")
+		enbTag    = fs.Float64("enb-tag", 3, "eNodeB-to-tag distance in feet")
+		tagUE     = fs.Float64("tag-ue", 3, "tag-to-UE distance in feet")
+		enbUE     = fs.Float64("enb-ue", 0, "eNodeB-to-UE distance in feet (default: sum of the hops)")
+		power     = fs.Float64("power", 10, "eNodeB transmit power in dBm")
+		exponent  = fs.Float64("exponent", 2.2, "path-loss exponent")
+		nlos      = fs.Bool("nlos", false, "non-line-of-sight fading")
+		mode      = fs.String("mode", "analytic", "evaluation mode: analytic or exact")
+		subframes = fs.Int("subframes", 5, "subframes to simulate in exact mode")
+		seed      = fs.Uint64("seed", 1, "random seed")
+		sweep     = fs.String("sweep", "", "sweep tag-to-UE distance: \"start:stop:step\" in feet, prints a table")
+		parallel  = fs.Int("parallel", 1, "worker count for -sweep (0 = NumCPU, 1 = sequential)")
+		level     = fs.String("impair", "", "impairment level for exact mode: off, mild, moderate or severe")
+		cfoHz     = fs.Float64("cfo", 0, "carrier-frequency offset in Hz (exact mode; enables the CFO stage)")
+		sfoPPM    = fs.Float64("sfo-ppm", 0, "sampling clock offset in ppm (exact mode; enables the SFO stage)")
+		adcBits   = fs.Int("adc-bits", 0, "ADC resolution in bits (exact mode; enables the ADC stage)")
+		jitterRMS = fs.Float64("jitter-rms", 0, "tag timing jitter RMS in basic-timing units (exact mode)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	if *parallel < 0 {
+		fmt.Fprintf(stderr, "-parallel must be >= 0 (0 = NumCPU), got %d\n", *parallel)
+		return 2
+	}
 
 	bw, err := bandwidthFlag(*bwStr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	cfg := core.DefaultLinkConfig(bw)
 	cfg.TxPowerDBm = *power
@@ -155,13 +141,13 @@ func main() {
 
 	ic, err := impairmentFor(*level, *cfoHz, *sfoPPM, *adcBits, *jitterRMS)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if ic != nil {
 		if cfg.Mode != core.Exact {
-			fmt.Fprintln(os.Stderr, "impairments need -mode exact (the analytic model has no waveform to corrupt)")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "impairments need -mode exact (the analytic model has no waveform to corrupt)")
+			return 2
 		}
 		cfg.Impair = ic
 	}
@@ -169,8 +155,8 @@ func main() {
 	if *sweep != "" {
 		var start, stop, step float64
 		if _, err := fmt.Sscanf(*sweep, "%g:%g:%g", &start, &stop, &step); err != nil || step <= 0 || stop < start {
-			fmt.Fprintf(os.Stderr, "bad sweep %q, want start:stop:step in feet\n", *sweep)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "bad sweep %q, want start:stop:step in feet\n", *sweep)
+			return 2
 		}
 		var dists []float64
 		var cfgs []core.LinkConfig
@@ -181,26 +167,30 @@ func main() {
 			dists = append(dists, d)
 			cfgs = append(cfgs, c)
 		}
-		reports := sweepPoints(cfgs, *parallel)
-		fmt.Printf("tag-UE (ft)  throughput (Mbps)  BER        scatter SNR (dB)\n")
+		// No error is possible: core.Run cannot fail and nothing cancels.
+		reports, _ := experiments.RunOrdered(context.Background(), len(cfgs), *parallel, func(i, _ int) (core.LinkReport, error) {
+			return core.Run(cfgs[i]), nil
+		})
+		fmt.Fprintf(stdout, "tag-UE (ft)  throughput (Mbps)  BER        scatter SNR (dB)\n")
 		for i, rep := range reports {
-			fmt.Printf("%-11.0f  %-17.3f  %-9.3g  %.1f\n",
+			fmt.Fprintf(stdout, "%-11.0f  %-17.3f  %-9.3g  %.1f\n",
 				dists[i], rep.ThroughputBps/1e6, rep.BER, rep.ScatterSNRdB)
 		}
-		return
+		return 0
 	}
 
 	rep := core.Run(cfg)
-	fmt.Printf("LScatter link: %s, %.0f dBm, eNB-tag %.0f ft, tag-UE %.0f ft, exponent %.1f\n",
+	fmt.Fprintf(stdout, "LScatter link: %s, %.0f dBm, eNB-tag %.0f ft, tag-UE %.0f ft, exponent %.1f\n",
 		bw, *power, *enbTag, *tagUE, *exponent)
-	fmt.Printf("  tag hears eNodeB : %v\n", rep.TagHearsENodeB)
-	fmt.Printf("  LTE decode       : %v (direct SNR %.1f dB)\n", rep.LTEOK, rep.DirectSNRdB)
-	fmt.Printf("  preamble sync    : %v\n", rep.Synced)
-	fmt.Printf("  scatter unit SNR : %.1f dB\n", rep.ScatterSNRdB)
-	fmt.Printf("  BER              : %.3g\n", rep.BER)
-	fmt.Printf("  raw rate         : %.2f Mbps\n", rep.RawRateBps/1e6)
-	fmt.Printf("  throughput       : %.2f Mbps\n", rep.ThroughputBps/1e6)
+	fmt.Fprintf(stdout, "  tag hears eNodeB : %v\n", rep.TagHearsENodeB)
+	fmt.Fprintf(stdout, "  LTE decode       : %v (direct SNR %.1f dB)\n", rep.LTEOK, rep.DirectSNRdB)
+	fmt.Fprintf(stdout, "  preamble sync    : %v\n", rep.Synced)
+	fmt.Fprintf(stdout, "  scatter unit SNR : %.1f dB\n", rep.ScatterSNRdB)
+	fmt.Fprintf(stdout, "  BER              : %.3g\n", rep.BER)
+	fmt.Fprintf(stdout, "  raw rate         : %.2f Mbps\n", rep.RawRateBps/1e6)
+	fmt.Fprintf(stdout, "  throughput       : %.2f Mbps\n", rep.ThroughputBps/1e6)
 	if rep.BitsCompared > 0 {
-		fmt.Printf("  bits compared    : %d (exact mode)\n", rep.BitsCompared)
+		fmt.Fprintf(stdout, "  bits compared    : %d (exact mode)\n", rep.BitsCompared)
 	}
+	return 0
 }

@@ -42,10 +42,12 @@ func RunAllCheckpointed(ctx context.Context, seed uint64, workers int, st *store
 	return runCheckpointed(ctx, sweepJobs(seed), runRegistry, workers, st, resume)
 }
 
-// runCheckpointed runs jobs through run on the pool, checkpointing into st.
+// runCheckpointed runs jobs through run on RunOrdered's pool, checkpointing
+// into st.
 func runCheckpointed(ctx context.Context, jobs []job, run runFunc, workers int, st *store.DiskStore, resume bool) ([]*Result, CheckpointStats, error) {
 	var computed, restored atomic.Int64
-	results, err := runPool(ctx, jobs, func(j job, worker int) (*Result, error) {
+	results, err := RunOrdered(ctx, len(jobs), workers, func(i, worker int) (*Result, error) {
+		j := jobs[i]
 		k := ArtifactKey(j.id, j.seed)
 		if resume {
 			if body, ok := st.Get(k); ok {
@@ -71,6 +73,6 @@ func runCheckpointed(ctx context.Context, jobs []job, run runFunc, workers int, 
 		st.Put(k, body)
 		computed.Add(1)
 		return res, nil
-	}, workers)
+	})
 	return results, CheckpointStats{Computed: int(computed.Load()), Restored: int(restored.Load())}, err
 }

@@ -41,7 +41,7 @@ func TestCheckpointResumesExactly(t *testing.T) {
 	if cs != (CheckpointStats{Computed: n - k, Restored: k}) {
 		t.Fatalf("resume stats: %+v, want %d computed and %d restored", cs, n-k, k)
 	}
-	want, err := runPool(context.Background(), jobs, fakeRun, 1)
+	want, err := runJobs(context.Background(), jobs, fakeRun, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

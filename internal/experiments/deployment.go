@@ -138,8 +138,9 @@ type DeploymentResult struct {
 	PerTag []TagReport `json:"per_tag"`
 }
 
-// RunDeployment evaluates a deployment config on a pool of workers and
-// returns the aggregated result. workers <= 0 selects a single worker.
+// RunDeployment evaluates a deployment config on RunOrdered's pool and
+// returns the aggregated result. workers follows the pool's rule: NumCPU
+// when workers <= 0, never more than cfg.Tags.
 //
 // progress, when non-nil, is called with (done, total, tag) after each tag
 // completes, where tag is the finished tag's full report — the serving
@@ -155,51 +156,26 @@ func RunDeployment(ctx context.Context, cfg DeploymentConfig, workers int, progr
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > cfg.Tags {
-		workers = cfg.Tags
-	}
 
 	// One occupancy sample per run: the fleet shares one ambient carrier.
 	occ := traffic.NewModel(cfg.Traffic, cfg.Venue, DeriveSeed(cfg.Seed, "deploy-occupancy"))
 	frac := occ.Sample(cfg.Hour)
 
-	reports := make([]TagReport, cfg.Tags)
-	jobs := make(chan int)
 	var (
-		wg   sync.WaitGroup
 		mu   sync.Mutex
 		done int
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				reports[i] = cfg.runTag(i, frac)
-				mu.Lock()
-				done++
-				if progress != nil {
-					progress(done, cfg.Tags, reports[i])
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-
-feed:
-	for i := 0; i < cfg.Tags; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
+	reports, err := RunOrdered(ctx, cfg.Tags, workers, func(i, _ int) (TagReport, error) {
+		r := cfg.runTag(i, frac)
+		if progress != nil {
+			mu.Lock()
+			done++
+			progress(done, cfg.Tags, r)
+			mu.Unlock()
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		return r, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 

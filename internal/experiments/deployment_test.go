@@ -32,7 +32,8 @@ func TestDeploymentDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 16} {
+	// 0 takes the pool's NumCPU rule, like every other caller of RunOrdered.
+	for _, workers := range []int{0, 2, 4, 16} {
 		got, err := RunDeployment(context.Background(), cfg, workers, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -108,13 +109,13 @@ func TestDeploymentCancellation(t *testing.T) {
 	cfg := tinyDeployment()
 	cfg.Tags = 64
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := RunDeployment(ctx, cfg, 2, func(done, total int, tag TagReport) {
+	res, err := RunDeployment(ctx, cfg, 2, func(done, total int, tag TagReport) {
 		if done == 2 {
 			cancel()
 		}
 	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if err != context.Canceled || res != nil {
+		t.Fatalf("(%v, %v), want (nil, context.Canceled)", res, err)
 	}
 }
 

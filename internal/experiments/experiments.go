@@ -5,13 +5,15 @@
 //
 // The registry can be driven one artifact at a time (Lookup, RunOne),
 // sequentially (All), or by the concurrent worker pool (RunAll, or
-// RunAllCheckpointed to resume from a durable store); the pool is
-// deterministic — per-artifact seeds derive from the master seed via
-// DeriveSeed, so the same seed yields byte-identical Rows at any worker
-// count. Each run carries RunMetrics (wall time, allocations, waveform-cache
-// hits and misses), and BuildReport/Report.WriteJSON serialize a whole
-// harness run for performance tracking. cmd/lscatter-bench drives the
-// registry; bench_test.go wraps each runner in a testing.B benchmark.
+// RunAllCheckpointed to resume from a durable store). The pool is
+// RunOrdered, which RunDeployment's fleet and cmd/lscatter-sim's distance
+// sweep share. It returns results in index order, and per-artifact seeds
+// derive from the master seed via DeriveSeed, so the same seed yields
+// byte-identical Rows at any worker count. Each run carries RunMetrics
+// (wall time, allocations, waveform-cache hits and misses), and
+// BuildReport/Report.WriteJSON serialize a whole harness run for
+// performance tracking. cmd/lscatter-bench drives the registry;
+// bench_test.go wraps each runner in a testing.B benchmark.
 package experiments
 
 import (

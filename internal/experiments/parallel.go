@@ -55,7 +55,8 @@ func runRegistry(j job, worker int) (*Result, error) {
 }
 
 // PoolSize is the number of workers RunAll runs for a requested count:
-// NumCPU when workers <= 0, and never more than the registry holds.
+// NumCPU when workers <= 0, and never more than the registry holds. It is
+// RunOrdered's rule applied to the registry.
 func PoolSize(workers int) int { return poolSize(workers, len(registry)) }
 
 func poolSize(workers, jobs int) int {
@@ -65,35 +66,31 @@ func poolSize(workers, jobs int) int {
 	return min(workers, jobs)
 }
 
-// runPool runs every job on poolSize(workers, len(jobs)) goroutines and
-// returns the results in job order, whatever the completion order.
+// RunOrdered calls fn(i, worker) for every i in [0, n) on poolSize(workers,
+// n) goroutines — NumCPU when workers <= 0, never more than n — and returns
+// the results in index order, whatever the completion order. worker is the
+// goroutine's slot in [0, poolSize), for attribution only.
 //
-// If ctx is cancelled, runPool stops dispatching, waits for in-flight jobs
-// and returns the partial results (unrun jobs are nil) alongside ctx.Err().
-// If a job fails, it stops dispatching and returns the partial results with
-// the first error; that job's slot is nil.
-func runPool(ctx context.Context, jobs []job, run runFunc, workers int) ([]*Result, error) {
-	results := make([]*Result, len(jobs))
+// If ctx is cancelled, RunOrdered stops dispatching, waits for in-flight
+// calls and returns the partial results (unrun indices hold T's zero value)
+// alongside ctx.Err(). If a call fails, it stops dispatching and returns the
+// partial results with the first error; that index holds the zero value.
+func RunOrdered[T any](ctx context.Context, n, workers int, fn func(i, worker int) (T, error)) ([]T, error) {
+	results := make([]T, n)
 	feed := make(chan int)
 	stop := make(chan struct{})
 	var stopOnce sync.Once
-	var mu sync.Mutex
 	var firstErr error
 
 	var wg sync.WaitGroup
-	for w := 0; w < poolSize(workers, len(jobs)); w++ {
+	for w := 0; w < poolSize(workers, n); w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
 			for i := range feed {
-				res, err := run(jobs[i], worker)
+				res, err := fn(i, worker)
 				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					stopOnce.Do(func() { close(stop) })
+					stopOnce.Do(func() { firstErr = err; close(stop) })
 					continue
 				}
 				results[i] = res
@@ -102,7 +99,7 @@ func runPool(ctx context.Context, jobs []job, run runFunc, workers int) ([]*Resu
 	}
 
 dispatch:
-	for i := range jobs {
+	for i := 0; i < n; i++ {
 		if ctx.Err() != nil {
 			break
 		}
@@ -132,7 +129,10 @@ dispatch:
 // dispatching, waits for in-flight runners, and returns the partial results
 // (unrun artifacts are nil) alongside ctx.Err().
 func RunAll(ctx context.Context, seed uint64, workers int) ([]*Result, error) {
-	return runPool(ctx, sweepJobs(seed), runRegistry, workers)
+	jobs := sweepJobs(seed)
+	return RunOrdered(ctx, len(jobs), workers, func(i, worker int) (*Result, error) {
+		return runRegistry(jobs[i], worker)
+	})
 }
 
 // RunOne regenerates a single artifact with the seed taken verbatim (no

@@ -72,6 +72,14 @@ func fakeJobs(n int) []job {
 	return jobs
 }
 
+// runJobs runs jobs through run on RunOrdered, the way RunAll runs the
+// registry.
+func runJobs(ctx context.Context, jobs []job, run runFunc, workers int) ([]*Result, error) {
+	return RunOrdered(ctx, len(jobs), workers, func(i, worker int) (*Result, error) {
+		return run(jobs[i], worker)
+	})
+}
+
 // requireSameRenders fails unless got and want render identically, slot by
 // slot.
 func requireSameRenders(t *testing.T, got, want []*Result) {
@@ -86,71 +94,88 @@ func requireSameRenders(t *testing.T, got, want []*Result) {
 	}
 }
 
-// TestPoolDeterministicAcrossWorkerCounts pins the pool's core contract:
-// identical results in identical order at any worker count.
+// TestPoolDeterministicAcrossWorkerCounts pins RunOrdered's core contract:
+// identical results in identical order at any worker count, with every
+// worker slot inside the pool size.
 func TestPoolDeterministicAcrossWorkerCounts(t *testing.T) {
 	jobs := fakeJobs(17)
-	want, err := runPool(context.Background(), jobs, fakeRun, 1)
+	want, err := runJobs(context.Background(), jobs, fakeRun, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 4, 17, 99} {
-		got, err := runPool(context.Background(), jobs, fakeRun, workers)
+		size := poolSize(workers, len(jobs))
+		var badSlot atomic.Int32
+		got, err := RunOrdered(context.Background(), len(jobs), workers, func(i, worker int) (*Result, error) {
+			if worker < 0 || worker >= size {
+				badSlot.Store(1)
+			}
+			return fakeRun(jobs[i], worker)
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if badSlot.Load() != 0 {
+			t.Fatalf("workers=%d: a call ran on a slot outside [0, %d)", workers, size)
 		}
 		requireSameRenders(t, got, want)
 	}
 }
 
 func TestPoolStopsOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int32
-	run := func(j job, worker int) (*Result, error) {
-		if ran.Add(1) == 3 {
-			cancel()
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var ran atomic.Int32
+		run := func(j job, worker int) (*Result, error) {
+			if ran.Add(1) == 3 {
+				cancel()
+			}
+			return fakeRun(j, worker)
 		}
-		return fakeRun(j, worker)
-	}
-	results, err := runPool(ctx, fakeJobs(64), run, 1)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	nils := 0
-	for _, r := range results {
-		if r == nil {
-			nils++
+		results, err := runJobs(ctx, fakeJobs(64), run, workers)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-	}
-	if nils == 0 {
-		t.Fatal("cancelled run completed every job")
+		nils := 0
+		for _, r := range results {
+			if r == nil {
+				nils++
+			}
+		}
+		if nils == 0 {
+			t.Fatalf("workers=%d: cancelled run completed every job", workers)
+		}
 	}
 }
 
 func TestPoolStopsOnFirstError(t *testing.T) {
 	boom := errors.New("boom")
-	var ran atomic.Int32
-	run := func(j job, worker int) (*Result, error) {
-		if j.id == "J03" {
-			return nil, boom
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int32
+		run := func(j job, worker int) (*Result, error) {
+			if j.id == "J03" {
+				return nil, boom
+			}
+			ran.Add(1)
+			return fakeRun(j, worker)
 		}
-		ran.Add(1)
-		return fakeRun(j, worker)
-	}
-	results, err := runPool(context.Background(), fakeJobs(64), run, 1)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if results[3] != nil {
-		t.Fatal("failed job has a result")
-	}
-	if int(ran.Load()) >= 63 {
-		t.Fatal("pool did not stop dispatching after the error")
+		results, err := runJobs(context.Background(), fakeJobs(64), run, workers)
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
+		}
+		if results[3] != nil {
+			t.Fatalf("workers=%d: failed job has a result", workers)
+		}
+		if int(ran.Load()) >= 63 {
+			t.Fatalf("workers=%d: pool did not stop dispatching after the error", workers)
+		}
 	}
 }
 
 // TestPoolSize pins the worker count a `-metrics` report records: NumCPU
-// for a request of 0, never more than the registry holds.
+// for a request of 0, never more than the registry holds — RunOrdered's
+// rule, which RunDeployment shares.
 func TestPoolSize(t *testing.T) {
 	n := len(IDs())
 	for _, tc := range []struct{ req, want int }{
@@ -163,6 +188,18 @@ func TestPoolSize(t *testing.T) {
 	} {
 		if got := PoolSize(tc.req); got != tc.want {
 			t.Errorf("PoolSize(%d) = %d, want %d", tc.req, got, tc.want)
+		}
+	}
+	// The same rule for any job count RunOrdered is handed.
+	for _, tc := range []struct{ req, n, want int }{
+		{0, 1, 1},
+		{-3, 1, 1},
+		{0, 0, 0},
+		{4, 3, 3},
+		{2, 9, 2},
+	} {
+		if got := poolSize(tc.req, tc.n); got != tc.want {
+			t.Errorf("poolSize(%d, %d) = %d, want %d", tc.req, tc.n, got, tc.want)
 		}
 	}
 }

@@ -58,7 +58,7 @@ func TestResumeAfterSIGKILL(t *testing.T) {
 	if cs != (CheckpointStats{Computed: n - k, Restored: k}) {
 		t.Fatalf("resume: %+v, want %d computed and %d restored", cs, n-k, k)
 	}
-	want, err := runPool(context.Background(), fakeJobs(n), fakeRun, 1)
+	want, err := runJobs(context.Background(), fakeJobs(n), fakeRun, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

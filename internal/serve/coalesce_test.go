@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // The tests in this file pin the request-coalescing contract under the race
@@ -281,4 +283,82 @@ func TestCoalesceHurriedShutdownCancelsFlight(t *testing.T) {
 	// err is nil if the run won the race, ctx.Err() otherwise — both fine;
 	// the invariant is no stuck jobs either way.
 	_ = err
+}
+
+// TestCoalescedJobsShareProgressEvents pins the progress fan-out: two jobs
+// attached to one flight from before it starts see the same progress rows,
+// marshaled once and shared by both logs, each encoded as marshalEvent(progressEvent{…}) and
+// carrying the tag report the result body holds for that tag.
+func TestCoalescedJobsShareProgressEvents(t *testing.T) {
+	m := newManager(t, Options{Workers: 1, QueueDepth: 16, JobWorkers: 2})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := m.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}()
+
+	// The one manager worker is busy with the blocker, so both submissions
+	// of the spec under test join one queued flight before it runs.
+	blocker, err := m.Submit(coalesceSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := normalized(t, 24, 99)
+	var jobs []*Job
+	for i := 0; i < 2; i++ {
+		j, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	if !jobs[1].Status().Coalesced {
+		t.Fatal("second submission did not coalesce")
+	}
+	m.Cancel(blocker.Status().ID)
+
+	var rows [2][]string
+	for i, j := range jobs {
+		<-j.Finished()
+		if st := j.Status(); st.State != Done {
+			t.Fatalf("job %d ended %s: %s", i, st.State, st.Error)
+		}
+		evs, _, _, _ := j.EventsSince(0)
+		for _, ev := range evs {
+			if ev.Type == "progress" {
+				rows[i] = append(rows[i], ev.Data)
+			}
+		}
+	}
+	if len(rows[0]) != spec.Tags || len(rows[1]) != spec.Tags {
+		t.Fatalf("progress rows: %d and %d, want %d each", len(rows[0]), len(rows[1]), spec.Tags)
+	}
+
+	body, _ := jobs[0].Results()
+	var doc ResultDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for k, data := range rows[0] {
+		if rows[1][k] != data {
+			t.Fatalf("row %d differs between the coalesced jobs:\n%s\n%s", k, data, rows[1][k])
+		}
+		// One marshal per row: both logs hold the same string, not copies.
+		if unsafe.StringData(rows[1][k]) != unsafe.StringData(data) {
+			t.Fatalf("row %d was marshaled once per job", k)
+		}
+		var p progressEvent
+		if err := json.Unmarshal([]byte(data), &p); err != nil {
+			t.Fatal(err)
+		}
+		if p.Done != k+1 || p.Total != spec.Tags || p.Tag == nil {
+			t.Fatalf("row %d: %s", k, data)
+		}
+		want := doc.Result.PerTag[p.Tag.Tag]
+		if got := marshalEvent(progressEvent{Done: k + 1, Total: spec.Tags, Tag: &want}); got != data {
+			t.Fatalf("row %d encoding:\n%s\nwant\n%s", k, data, got)
+		}
+	}
 }

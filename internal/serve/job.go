@@ -131,7 +131,9 @@ func (j *Job) terminal() bool {
 // the stream's end event.
 func (j *Job) ETag() string { return fmt.Sprintf("%q", j.key.SpecHash) }
 
-func (j *Job) setProgress(done, total int, tag *experiments.TagReport) {
+// setProgress records a progress row whose event the caller marshaled once
+// for every job attached to the flight.
+func (j *Job) setProgress(done, total int, ev Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state == Done || j.state == Failed || j.state == Canceled {
@@ -140,10 +142,7 @@ func (j *Job) setProgress(done, total int, tag *experiments.TagReport) {
 		return
 	}
 	j.done, j.total = done, total
-	j.events.appendLocked(Event{
-		Type: "progress",
-		Data: marshalEvent(progressEvent{Done: done, Total: total, Tag: tag}),
-	})
+	j.events.appendLocked(ev)
 }
 
 func (j *Job) setRunning() {
@@ -629,14 +628,16 @@ func (m *Manager) runFlight(fl *flight) {
 
 // compute runs the flight's deployment with progress fanned out to every
 // attached job and returns the canonical result body — the bytes the stores
-// persist and every coalesced client receives.
+// persist and every coalesced client receives. Each progress row is
+// marshaled once and the one string is shared by every attached job's log.
 func (m *Manager) compute(ctx context.Context, fl *flight) ([]byte, error) {
 	progress := func(done, total int, tag experiments.TagReport) {
+		ev := Event{Type: "progress", Data: marshalEvent(progressEvent{Done: done, Total: total, Tag: &tag})}
 		m.mu.Lock()
 		attached := append([]*Job(nil), fl.jobs...)
 		m.mu.Unlock()
 		for _, j := range attached {
-			j.setProgress(done, total, &tag)
+			j.setProgress(done, total, ev)
 		}
 	}
 	res, err := experiments.RunDeployment(ctx, fl.spec.Deployment(), m.opts.JobWorkers, progress)

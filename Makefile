@@ -51,6 +51,7 @@ fuzz-smoke:
 	$(GO) test ./internal/scatterframe -run='^$$' -fuzz=FuzzDecodeSoft -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dsp -run='^$$' -fuzz=FuzzCorrelatorEquivalence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dsp -run='^$$' -fuzz=FuzzFIREquivalence -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/dsp -run='^$$' -fuzz=FuzzFFTEquivalence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bits -run='^$$' -fuzz=FuzzViterbiEquivalence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/modem -run='^$$' -fuzz=FuzzDemapSoftEquivalence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzSpecDecode -fuzztime=$(FUZZTIME)
@@ -78,8 +79,8 @@ bench:
 # OLD/NEW to compare other runs): per-artifact wall clock and allocation
 # deltas plus totals; fails on a total alloc_bytes regression beyond the
 # tool's threshold.
-OLD ?= BENCH_R3.json
-NEW ?= BENCH_R4.json
+OLD ?= BENCH_R4.json
+NEW ?= BENCH_R5.json
 bench-compare:
 	$(GO) run ./tools/benchdiff $(OLD) $(NEW)
 

@@ -18,6 +18,10 @@
 // resilience ladder (off, mild, moderate, severe; see docs/RESILIENCE.md),
 // and -cfo/-sfo-ppm/-adc-bits/-jitter-rms switch on individual stages on
 // top of (or instead of) the level.
+//
+// Usage errors exit 2: an unknown -bw, -mode or -impair value, a bad
+// -sweep, a negative -parallel, impairments without -mode exact, and
+// positional arguments, which no mode reads.
 package main
 
 import (
@@ -112,6 +116,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else if err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected arguments: %v\n", fs.Args())
+		return 2
+	}
 	if *parallel < 0 {
 		fmt.Fprintf(stderr, "-parallel must be >= 0 (0 = NumCPU), got %d\n", *parallel)
 		return 2
@@ -135,8 +143,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.LoS = !*nlos
 	cfg.Seed = *seed
 	cfg.Subframes = *subframes
-	if *mode == "exact" {
+	switch *mode {
+	case "analytic":
+	case "exact":
 		cfg.Mode = core.Exact
+	default:
+		fmt.Fprintf(stderr, "unknown mode %q (use analytic or exact)\n", *mode)
+		return 2
 	}
 
 	ic, err := impairmentFor(*level, *cfoHz, *sfoPPM, *adcBits, *jitterRMS)

@@ -44,6 +44,10 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{[]string{"-bw", "7"}, "unknown bandwidth"},
 		{[]string{"-impair", "moderate"}, "impairments need -mode exact"},
 		{[]string{"-no-such-flag"}, "not defined"},
+		{[]string{"-mode", "exakt", "-bw", "1.4"}, "unknown mode"},
+		{[]string{"-mode", "Exact"}, "unknown mode"},
+		{[]string{"-sweep", "10:20:10", "stray"}, "unexpected arguments: [stray]"},
+		{[]string{"-bw", "1.4", "--", "-mode"}, "unexpected arguments: [-mode]"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {

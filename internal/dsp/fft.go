@@ -16,7 +16,8 @@ import (
 )
 
 // Plan holds the precomputed state to transform length-N complex vectors.
-// Power-of-two sizes use an iterative radix-2 Cooley-Tukey kernel; any other
+// Power-of-two sizes use an iterative radix-2 Cooley-Tukey kernel whose
+// stages run in fused pairs (radix-2²); any other
 // size (LTE's 15 MHz bandwidth needs N=1536) falls back to Bluestein's
 // chirp-z algorithm built on a padded power-of-two transform.
 //
@@ -26,9 +27,8 @@ import (
 type Plan struct {
 	n       int
 	pow2    bool
-	logN    uint
 	perm    []int        // bit-reversal permutation (pow2 only)
-	twiddle []complex128 // stage twiddles, forward direction (pow2 only)
+	twiddle []complex128 // per-stage twiddles, forward direction (pow2 only); see stageTwiddles
 	// Bluestein state (non-pow2 only)
 	m     int          // padded size, power of two >= 2n-1
 	chirp []complex128 // exp(-i*pi*k^2/n)
@@ -71,13 +71,8 @@ func NewPlan(n int) *Plan {
 	p := &Plan{n: n}
 	if n&(n-1) == 0 {
 		p.pow2 = true
-		p.logN = uint(bits.TrailingZeros(uint(n)))
 		p.perm = bitReversePerm(n)
-		p.twiddle = make([]complex128, n/2)
-		for k := 0; k < n/2; k++ {
-			angle := -2 * math.Pi * float64(k) / float64(n)
-			p.twiddle[k] = complex(math.Cos(angle), math.Sin(angle))
-		}
+		p.twiddle = stageTwiddles(n)
 		return p
 	}
 	// Bluestein
@@ -104,6 +99,27 @@ func NewPlan(n int) *Plan {
 	p.bfft = make([]complex128, m)
 	p.sub.forwardPow2(p.bfft, b)
 	return p
+}
+
+// stageTwiddles lays out the twiddles of every radix-2 stage contiguously:
+// the stage whose butterflies span half-size h reads w^(k*n/(2h)),
+// w = exp(-2*pi*i/n), for k in [0, h) at offset h-1, so each stage walks
+// its own table with unit stride. Entries are the same float64 values the
+// strided single-table layout held.
+func stageTwiddles(n int) []complex128 {
+	full := make([]complex128, n/2)
+	for k := range full {
+		angle := -2 * math.Pi * float64(k) / float64(n)
+		full[k] = complex(math.Cos(angle), math.Sin(angle))
+	}
+	tw := make([]complex128, 0, n)
+	for h := 1; h < n; h <<= 1 {
+		step := n / (2 * h)
+		for k := 0; k < h; k++ {
+			tw = append(tw, full[k*step])
+		}
+	}
+	return tw
 }
 
 func cmplxConj(c complex128) complex128 { return complex(real(c), -imag(c)) }
@@ -137,17 +153,13 @@ func (p *Plan) Forward(dst, src []complex128) {
 func (p *Plan) Inverse(dst, src []complex128) {
 	p.checkLen(dst, src)
 	if p.pow2 {
-		// IFFT via conjugation: ifft(x) = conj(fft(conj(x)))/N. dst itself is
-		// the workspace (forwardPow2 runs in place), so the path allocates
-		// nothing — it runs twice per overlap-save block on the hot path.
-		for i, v := range src {
-			dst[i] = cmplxConj(v)
-		}
-		p.forwardPow2(dst, dst)
-		scale := 1 / float64(p.n)
-		for i, v := range dst {
-			dst[i] = complex(real(v)*scale, -imag(v)*scale)
-		}
+		// IFFT via conjugation: ifft(x) = conj(fft(conj(x)))/N. The first
+		// conjugation rides on the bit-reversal permutation and the second,
+		// with the 1/N scale, on the stores of the last stage, so dst is
+		// the only workspace and the path allocates nothing — it runs twice
+		// per overlap-save block on the hot path.
+		p.permute(dst, src, true)
+		p.butterflies(dst, true)
 		return
 	}
 	p.bluestein(dst, src, true)
@@ -161,30 +173,153 @@ func (p *Plan) checkLen(dst, src []complex128) {
 
 // forwardPow2 is the iterative radix-2 kernel. dst may alias src.
 func (p *Plan) forwardPow2(dst, src []complex128) {
-	n := p.n
+	p.permute(dst, src, false)
+	p.butterflies(dst, false)
+}
+
+// permute stores the bit-reversal permutation of src in dst, conjugating
+// every element when conj is set. Distinct buffers take one gather pass;
+// dst == src swaps in place.
+func (p *Plan) permute(dst, src []complex128, conj bool) {
+	perm := p.perm[:len(dst)]
 	if &dst[0] != &src[0] {
-		copy(dst, src)
-	}
-	// Bit-reversal permutation in place.
-	for i, j := range p.perm {
-		if i < j {
-			dst[i], dst[j] = dst[j], dst[i]
-		}
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for start := 0; start < n; start += size {
-			tw := 0
-			for k := start; k < start+half; k++ {
-				w := p.twiddle[tw]
-				tw += step
-				a := dst[k]
-				b := dst[k+half] * w
-				dst[k] = a + b
-				dst[k+half] = a - b
+		if conj {
+			for i, j := range perm {
+				dst[i] = cmplxConj(src[j])
+			}
+		} else {
+			for i, j := range perm {
+				dst[i] = src[j]
 			}
 		}
+		return
+	}
+	for i, j := range perm {
+		switch {
+		case i < j:
+			if conj {
+				dst[i], dst[j] = cmplxConj(dst[j]), cmplxConj(dst[i])
+			} else {
+				dst[i], dst[j] = dst[j], dst[i]
+			}
+		case i == j && conj:
+			dst[i] = cmplxConj(dst[i])
+		}
+	}
+}
+
+// butterflies runs the log2 n radix-2 stages over the bit-reversed x, two
+// stages per pass, with a single trailing stage when log2 n is odd. Every
+// butterfly is the radix-2 one, a ± b·w in stage order, so the fusion only
+// saves memory passes. inverse folds the final conjugation and 1/N scale
+// of Inverse into the last stage's stores.
+func (p *Plan) butterflies(x []complex128, inverse bool) {
+	n := p.n
+	scale := 1 / float64(n)
+	h := 1
+	for ; 4*h <= n; h <<= 2 {
+		last := inverse && 4*h == n
+		if h == 1 {
+			radix22First(x, p.stageTw(1), p.stageTw(2), last, scale)
+		} else {
+			radix22(x, p.stageTw(h), p.stageTw(2*h), last, scale)
+		}
+	}
+	switch {
+	case 2*h == n:
+		radix2Last(x, p.stageTw(h), inverse, scale)
+	case n == 1 && inverse:
+		x[0] = complex(real(x[0])*scale, -imag(x[0])*scale)
+	}
+}
+
+// stageTw returns the twiddles of the stage with butterfly half-size h.
+func (p *Plan) stageTw(h int) []complex128 { return p.twiddle[h-1 : 2*h-1] }
+
+// radix22 runs the stages of half-sizes h and 2h in one pass over blocks of
+// 4h: per k, two half-size-h butterflies on (x0, x1) and (x2, x3) with
+// w1[k], then half-size-2h ones on (x0, x2) with w2[k] and (x1, x3) with
+// w2[h+k]. last stores conj(v)·scale, the Inverse epilogue.
+func radix22(x, w1, w2 []complex128, last bool, scale float64) {
+	h := len(w1)
+	w2a, w2b := w2[:h], w2[h:2*h]
+	for len(x) >= 4*h {
+		x0, x1, x2, x3 := x[:h], x[h:2*h], x[2*h:3*h], x[3*h:4*h]
+		x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+		w1, w2a, w2b := w1[:len(x0)], w2a[:len(x0)], w2b[:len(x0)]
+		if last {
+			for k := range x0 {
+				a, b := x0[k], x1[k]*w1[k]
+				y0, y1 := a+b, a-b
+				a, b = x2[k], x3[k]*w1[k]
+				y2, y3 := a+b, a-b
+				b = y2 * w2a[k]
+				v0, v2 := y0+b, y0-b
+				b = y3 * w2b[k]
+				v1, v3 := y1+b, y1-b
+				x0[k] = complex(real(v0)*scale, -imag(v0)*scale)
+				x1[k] = complex(real(v1)*scale, -imag(v1)*scale)
+				x2[k] = complex(real(v2)*scale, -imag(v2)*scale)
+				x3[k] = complex(real(v3)*scale, -imag(v3)*scale)
+			}
+		} else {
+			for k := range x0 {
+				a, b := x0[k], x1[k]*w1[k]
+				y0, y1 := a+b, a-b
+				a, b = x2[k], x3[k]*w1[k]
+				y2, y3 := a+b, a-b
+				b = y2 * w2a[k]
+				x0[k], x2[k] = y0+b, y0-b
+				b = y3 * w2b[k]
+				x1[k], x3[k] = y1+b, y1-b
+			}
+		}
+		x = x[4*h:]
+	}
+}
+
+// radix22First is radix22 for h = 1, where a block is four adjacent
+// samples and the three twiddles are loop constants.
+func radix22First(x, w1, w2 []complex128, last bool, scale float64) {
+	t1, t2a, t2b := w1[0], w2[0], w2[1]
+	for ; len(x) >= 4; x = x[4:] {
+		q := x[:4:4]
+		a, b := q[0], q[1]*t1
+		y0, y1 := a+b, a-b
+		a, b = q[2], q[3]*t1
+		y2, y3 := a+b, a-b
+		b = y2 * t2a
+		v0, v2 := y0+b, y0-b
+		b = y3 * t2b
+		v1, v3 := y1+b, y1-b
+		if last {
+			v0 = complex(real(v0)*scale, -imag(v0)*scale)
+			v1 = complex(real(v1)*scale, -imag(v1)*scale)
+			v2 = complex(real(v2)*scale, -imag(v2)*scale)
+			v3 = complex(real(v3)*scale, -imag(v3)*scale)
+		}
+		q[0], q[1], q[2], q[3] = v0, v1, v2, v3
+	}
+}
+
+// radix2Last is the trailing single stage of an odd log2 n: one block of
+// half-size h = len(w) = n/2. inverse stores conj(v)·scale.
+func radix2Last(x, w []complex128, inverse bool, scale float64) {
+	lo, hi := x[:len(w)], x[len(w):]
+	hi = hi[:len(lo)]
+	w = w[:len(lo)]
+	if inverse {
+		for k := range lo {
+			a, b := lo[k], hi[k]*w[k]
+			v0, v1 := a+b, a-b
+			lo[k] = complex(real(v0)*scale, -imag(v0)*scale)
+			hi[k] = complex(real(v1)*scale, -imag(v1)*scale)
+		}
+		return
+	}
+	for k := range lo {
+		a, b := lo[k], hi[k]*w[k]
+		lo[k], hi[k] = a+b, a-b
 	}
 }
 

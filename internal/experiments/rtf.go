@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -19,9 +20,14 @@ import (
 // produces per wall-clock second at 20 MHz, on one goroutine.
 // docs/PERFORMANCE.md defines the methodology and records the trajectory.
 
-// rtfSubframes is the timed Session length in subframes (ms of simulated
-// time).
-const rtfSubframes = 10
+// rtfSubframes is the length of one timed window in subframes (ms of
+// simulated time), and rtfWindows the number of windows whose median is
+// reported: a single window spread 0.04–0.06× run to run on a shared
+// 2-core box, too wide to show a 20% change.
+const (
+	rtfSubframes = 10
+	rtfWindows   = 5
+)
 
 // RTFReport is the JSON-facing result of one RTF run.
 type RTFReport struct {
@@ -30,7 +36,8 @@ type RTFReport struct {
 	// SampleRateHz is the oversampled simulation rate.
 	SampleRateHz float64 `json:"sample_rate_hz"`
 	// SessionFloatRTF is the full Session (source generation, modulation,
-	// paths, combine, noise): simulated seconds per wall-clock second.
+	// paths, combine, noise): simulated seconds per wall-clock second, the
+	// median over the timed windows.
 	SessionFloatRTF float64 `json:"session_float_rtf"`
 	// GoVersion and CPU record the machine the numbers were taken on.
 	GoVersion string `json:"go_version"`
@@ -83,7 +90,9 @@ func rtfSession(bw ltephy.Bandwidth, seed uint64) *simlink.Session {
 }
 
 // RunRTF measures the float Session's real-time factor at 20 MHz on the
-// calling goroutine; seed drives the receiver noise.
+// calling goroutine; seed drives the receiver noise. After one warmup
+// subframe it times rtfWindows consecutive windows of rtfSubframes each and
+// reports the median window.
 func RunRTF(seed uint64) *RTFReport {
 	bw := ltephy.BW20
 	rep := &RTFReport{
@@ -94,8 +103,13 @@ func RunRTF(seed uint64) *RTFReport {
 	}
 	sess := rtfSession(bw, seed)
 	sess.Run(1) // warm the waveform cache path
-	start := time.Now()
-	sess.Run(rtfSubframes)
-	rep.SessionFloatRTF = rtfSubframes * ltephy.SubframeDuration / time.Since(start).Seconds()
+	rtfs := make([]float64, rtfWindows)
+	for i := range rtfs {
+		start := time.Now()
+		sess.Run(rtfSubframes)
+		rtfs[i] = rtfSubframes * ltephy.SubframeDuration / time.Since(start).Seconds()
+	}
+	slices.Sort(rtfs)
+	rep.SessionFloatRTF = rtfs[rtfWindows/2]
 	return rep
 }

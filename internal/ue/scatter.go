@@ -88,7 +88,7 @@ type ScatterDemod struct {
 	// precomputed state (read-only after construction)
 	wave    []complex128        // downshifted phase-0 switch waveform per unit
 	mixer   []complex128        // downshift phasors, indexed by (position % Oversample) + Oversample - 1
-	kTime   []complex128        // IFFT of the clean-bin indicator (projection kernel)
+	kTime2  []complex128        // IFFT of the clean-bin indicator (projection kernel), stored twice: kTime2[n+j] = kappa[j mod n] for j in (-n, n)
 	preBank *dsp.CorrelatorBank // preamble sign sequences, one per configured tag
 	tagIDs  []int               // resolved tag list (defaults to {0})
 	// scratch (reused across calls; never escapes)
@@ -103,6 +103,7 @@ type ScatterDemod struct {
 	scrAbsM    []float64
 	scrTU      []float64
 	scrAlpha   []float64
+	scrFlipV   []complex128 // one flipped unit's per-sample residual terms
 }
 
 // NewScatterDemod builds the demodulator.
@@ -125,15 +126,17 @@ func NewScatterDemod(cfg ScatterConfig) *ScatterDemod {
 	d.mixer = mixerTable(p.Oversample)
 	d.wave = d.refWaveUnit()
 	// The clean-bin projection kernel only depends on the bin mask, so the
-	// refinement stage reuses one IFFT forever.
+	// refinement stage reuses one IFFT forever. Its second copy lets the
+	// refinement read kappa at a signed lag without a modulo.
 	kernel := make([]complex128, d.n)
 	for b := range kernel {
 		if d.cleanBin[b] {
 			kernel[b] = 1
 		}
 	}
-	d.kTime = make([]complex128, d.n)
-	d.plan.Inverse(d.kTime, kernel)
+	d.kTime2 = make([]complex128, 2*d.n)
+	d.plan.Inverse(d.kTime2[:d.n], kernel)
+	copy(d.kTime2[d.n:], d.kTime2[:d.n])
 	// Preamble matched filters: the offset search is a cross-correlation of
 	// the per-unit metric stream against each tag's ±1 sign sequence, served
 	// by the batch engine with spectra precomputed here.
@@ -167,6 +170,7 @@ func NewScatterDemod(cfg ScatterConfig) *ScatterDemod {
 	d.scrAbsM = make([]float64, d.nNom)
 	d.scrTU = make([]float64, d.nNom)
 	d.scrAlpha = make([]float64, d.nNom)
+	d.scrFlipV = make([]complex128, p.Oversample)
 	return d
 }
 
@@ -535,14 +539,17 @@ func (d *ScatterDemod) DemodSubframe(rx, refSamples []complex128, subframe, star
 func (d *ScatterDemod) refine(hyb, refSamples []complex128, l, w0 int, bitsOut []byte) float64 {
 	p := d.cfg.Params
 	ov := p.Oversample
+	n := d.n
 	refStart := ltephy.UsefulStart(p, l)
 	wave := d.wave
 	sub := d.subOff
 	// Reference r[rel] = x_ref * wave over the useful window at the burst's
 	// sub-unit alignment, and per-unit energies T_u over the unit's samples
-	// [u*ov+sub, u*ov+sub+ov).
+	// [u*ov+sub, u*ov+sub+ov). T_u and alpha_u are read only for the
+	// decision window's units [w0, w0+len(bitsOut)), so only those are
+	// computed.
 	ref := d.scrRef
-	for rel := 0; rel < d.n; rel++ {
+	for rel := 0; rel < n; rel++ {
 		local := rel - sub
 		m := local % ov
 		if m < 0 {
@@ -551,12 +558,13 @@ func (d *ScatterDemod) refine(hyb, refSamples []complex128, l, w0 int, bitsOut [
 		ref[rel] = refSamples[refStart+rel] * wave[m]
 	}
 	sampleOf := func(u, m int) int { return u*ov + sub + m }
+	uEnd := w0 + len(bitsOut)
 	tU := d.scrTU[:d.nNom]
-	for u := 0; u < d.nNom; u++ {
+	for u := w0; u < uEnd; u++ {
 		var e float64
 		for m := 0; m < ov; m++ {
 			i := sampleOf(u, m)
-			if i >= d.n {
+			if i >= n {
 				break
 			}
 			v := ref[i]
@@ -567,24 +575,24 @@ func (d *ScatterDemod) refine(hyb, refSamples []complex128, l, w0 int, bitsOut [
 	// Exact own-unit retained energy under the clean-bin projection B:
 	// alpha_u = sum_{m,m' in u} kappa[m-m'] ref[m'] conj(ref[m]), with
 	// kappa = IFFT of the clean-bin indicator (the projection's kernel,
-	// precomputed at construction).
-	kTime := d.kTime
+	// precomputed at construction; kTime2[n+j] is kappa at lag j).
+	kTime2 := d.kTime2
 	alpha := d.scrAlpha[:d.nNom]
-	for u := 0; u < d.nNom; u++ {
+	for u := w0; u < uEnd; u++ {
 		var acc complex128
 		for m := 0; m < ov; m++ {
 			for mp := 0; mp < ov; mp++ {
 				im, imp := sampleOf(u, m), sampleOf(u, mp)
-				if im >= d.n || imp >= d.n {
+				if im >= n || imp >= n {
 					continue
 				}
-				kv := kTime[((m-mp)%d.n+d.n)%d.n]
+				kv := kTime2[n+m-mp]
 				acc += kv * ref[imp] * cmplx.Conj(ref[im])
 			}
 		}
 		alpha[u] = real(acc)
 	}
-	kappa0 := float64(d.CleanBinCount()) / float64(d.n)
+	kappa0 := float64(d.CleanBinCount()) / float64(n)
 	// Initial residual e = hyb - B(ref * s) with the starting decisions
 	// (idle units carry s = +1).
 	expect := d.scrExpect
@@ -612,7 +620,7 @@ func (d *ScatterDemod) refine(hyb, refSamples []complex128, l, w0 int, bitsOut [
 		var acc complex128
 		for m := 0; m < ov; m++ {
 			idx := sampleOf(u, m)
-			if idx >= d.n {
+			if idx >= n {
 				break
 			}
 			acc += e[idx] * cmplx.Conj(ref[idx])
@@ -626,7 +634,10 @@ func (d *ScatterDemod) refine(hyb, refSamples []complex128, l, w0 int, bitsOut [
 		return 1
 	}
 	// applyFlip updates bits and the residual for a sign change of unit
-	// w0+i: expect changes by -2*sOld*B(a_u), so e gains +2*sOld*B(a_u).
+	// w0+i: expect changes by -2*sOld*B(a_u), so e gains +2*sOld*B(a_u),
+	// the sum over the unit's samples src of kappa[rel-src]*v_src. One pass
+	// over e adds each sample's term in the unit's sample order.
+	vs := d.scrFlipV
 	applyFlip := func(i int) {
 		u := w0 + i
 		sOld := signOf(i)
@@ -635,15 +646,28 @@ func (d *ScatterDemod) refine(hyb, refSamples []complex128, l, w0 int, bitsOut [
 		} else {
 			bitsOut[i] = 0
 		}
-		for m := 0; m < ov; m++ {
-			src := sampleOf(u, m)
-			if src >= d.n {
-				break
+		first := sampleOf(u, 0)
+		cnt := min(ov, n-first)
+		for m := 0; m < cnt; m++ {
+			vs[m] = complex(2*sOld, 0) * ref[first+m]
+		}
+		// Tap m of sample rel reads kappa[rel-first-m] = kw[rel+cnt-1-m].
+		kw := kTime2[n-first-(cnt-1) : 2*n-first]
+		res := e[:n]
+		if cnt == 4 {
+			k0, k1, k2, k3 := kw[3:][:n], kw[2:][:n], kw[1:][:n], kw[:n]
+			v0, v1, v2, v3 := vs[0], vs[1], vs[2], vs[3]
+			for rel := range res {
+				res[rel] = res[rel] + k0[rel]*v0 + k1[rel]*v1 + k2[rel]*v2 + k3[rel]*v3
 			}
-			v := complex(2*sOld, 0) * ref[src]
-			for rel := 0; rel < d.n; rel++ {
-				e[rel] += kTime[((rel-src)%d.n+d.n)%d.n] * v
+			return
+		}
+		for rel := range res {
+			acc := res[rel]
+			for m, v := range vs[:cnt] {
+				acc += kw[rel+cnt-1-m] * v
 			}
+			res[rel] = acc
 		}
 	}
 	// beta is the cross term Re<B a_i, B a_j> between two units.
@@ -651,15 +675,15 @@ func (d *ScatterDemod) refine(hyb, refSamples []complex128, l, w0 int, bitsOut [
 		var acc complex128
 		for m := 0; m < ov; m++ {
 			im := sampleOf(ui, m)
-			if im >= d.n {
+			if im >= n {
 				break
 			}
 			for mp := 0; mp < ov; mp++ {
 				imp := sampleOf(uj, mp)
-				if imp >= d.n {
+				if imp >= n {
 					break
 				}
-				acc += cmplx.Conj(ref[im]) * kTime[((im-imp)%d.n+d.n)%d.n] * ref[imp]
+				acc += cmplx.Conj(ref[im]) * kTime2[n+im-imp] * ref[imp]
 			}
 		}
 		return real(acc)

@@ -2,16 +2,16 @@
 
 GO ?= go
 
-.PHONY: all ci test race vet docs-check fuzz-smoke golden-update resilience bench bench-compare bench-check rtf fleet-check figures examples examples-check served-check served-load cover clean
+.PHONY: all ci test race vet docs-check fuzz-smoke golden-update resilience bench bench-compare bench-check rtf fleet-check figures examples examples-check served-check cover clean
 
 all: vet test
 
 # The full gate a PR must pass: vet with the gofmt check, the suite under the
 # race detector, the doc-comment and make-target check, the example-stdout
-# goldens, the fleet-engine scaling gate, both server smokes (end-to-end
+# goldens, the fleet-engine scaling gate, the server smoke (end-to-end
 # crash/restart, then load with required coalesce + disk-hit evidence) and
 # the repository benchmark's output checks. Run it before pushing.
-ci: vet race docs-check examples-check fleet-check served-check served-load bench-check
+ci: vet race docs-check examples-check fleet-check served-check bench-check
 
 test:
 	$(GO) test ./...
@@ -65,7 +65,7 @@ golden-update:
 # The link-resilience sweep: the exact chain through the fault-injection
 # ladder (see docs/RESILIENCE.md).
 resilience:
-	$(GO) run ./cmd/lscatter-bench -impair
+	$(GO) run ./cmd/lscatter-bench -id R1
 
 # Regenerate every paper table/figure, the ablations and the validation.
 figures:
@@ -78,7 +78,7 @@ bench:
 # Diff two `lscatter-bench -metrics` reports with tools/benchdiff (override
 # OLD/NEW to compare other runs): per-artifact wall clock and allocation
 # deltas plus totals; fails on a total alloc_bytes regression beyond the
-# tool's threshold.
+# tool's threshold. The wall figures are single-run and advisory.
 OLD ?= BENCH_R4.json
 NEW ?= BENCH_R5.json
 bench-compare:
@@ -123,22 +123,17 @@ examples-check:
 # End-to-end smoke of the deployment-simulation server binary: build it,
 # require -workers 0 to exit 2 before listening, launch on an ephemeral port,
 # healthz + one tiny run over real TCP, then a SIGTERM graceful-drain exit —
-# followed by the durability phase: one disk probe and one disk write per
+# followed by the durability phase (one disk probe and one disk write per
 # computed run, SIGKILL mid-life and a restart that must serve the same body
-# from disk without recompute (see docs/SERVING.md).
+# from disk without recompute) and LOADTIME of mixed load bursts
+# (concurrent-identical, duplicate, unique, canceled) against a 1-entry
+# memory store over a temp artifact dir, which fails unless coalesced joins
+# AND disk hits both happened and prints sustained runs/sec (baseline in
+# docs/BENCHMARKS.md; see docs/SERVING.md).
+LOADTIME ?= 5s
 served-check:
 	$(GO) build -o bin/lscatter-served ./cmd/lscatter-served
-	$(GO) run ./tools/servedcheck -bin bin/lscatter-served
-
-# Load smoke: a few seconds of mixed bursts (concurrent-identical, duplicate,
-# unique, canceled) against a freshly launched server with a 1-entry memory
-# store over a temp artifact dir. Fails unless coalesced joins AND disk hits
-# both actually happened; prints sustained runs/sec (baseline in
-# docs/BENCHMARKS.md).
-LOADTIME ?= 5s
-served-load:
-	$(GO) build -o bin/lscatter-served ./cmd/lscatter-served
-	$(GO) run ./tools/servedload -bin bin/lscatter-served -duration $(LOADTIME) -require-coalesce -require-disk-hits
+	$(GO) run ./tools/servedcheck -bin bin/lscatter-served -load-time $(LOADTIME)
 
 cover:
 	$(GO) test -cover ./...

@@ -7,7 +7,6 @@
 //	lscatter-bench -id F23 [-seed 7]
 //	lscatter-bench -all [-parallel 8] [-metrics out.json]
 //	lscatter-bench -all -artifact-dir DIR [-resume]
-//	lscatter-bench -impair [-seed 7] [-metrics out.json]
 //	lscatter-bench -rtf [-metrics out.json]
 //
 // With -all, artifacts run on a worker pool (-parallel N; 0 selects NumCPU,
@@ -31,9 +30,9 @@
 // lands in the report's "rtf" object. The methodology and the recorded
 // trajectory live in docs/PERFORMANCE.md.
 //
-// -impair is shorthand for the link-resilience sweep (-id R1): the exact
-// chain run through the off/mild/moderate/severe fault-injection ladder,
-// reporting BER, throughput and carrier-loop re-acquisitions per level; see
+// -id R1 is the link-resilience sweep: the exact chain run through the
+// off/mild/moderate/severe fault-injection ladder, reporting BER,
+// throughput and carrier-loop re-acquisitions per level; see
 // docs/RESILIENCE.md.
 //
 // -fleet runs the event-driven fleet engine standalone (see docs/FLEET.md):
@@ -41,11 +40,10 @@
 // arbitration for -fleet-minutes simulated minutes, printing the delivery,
 // collision and latency report. The city-scale artifact itself is -id C1.
 //
-// -fleet, -list, -all, -id (or -impair) and -rtf each select one run mode,
-// and at most one may be given; the exceptions are -rtf, which composes with
-// -all, and -impair -id R1, which names the same sweep twice. Positional
-// arguments are rejected, and so is -metrics with -fleet or -list, which
-// write no report.
+// -fleet, -list, -all, -id and -rtf each select one run mode, and at most
+// one may be given; the exception is -rtf, which composes with -all.
+// Positional arguments are rejected, and so is -metrics with -fleet or
+// -list, which write no report.
 package main
 
 import (
@@ -72,15 +70,12 @@ func usageError(format string, args ...any) {
 // validateModes rejects positional arguments, which no mode reads, a
 // request for more than one run mode, which would silently run only one,
 // and -metrics with a mode that writes no report.
-func validateModes(args []string, fleetRun, list, all, rtf, impair bool, id string, metrics bool) error {
+func validateModes(args []string, fleetRun, list, all, rtf bool, id string, metrics bool) error {
 	if len(args) > 0 {
 		return fmt.Errorf("unexpected arguments: %v", args)
 	}
 	if metrics && (fleetRun || list) {
-		return fmt.Errorf("-metrics applies to -all, -id/-impair and -rtf, not to -fleet or -list")
-	}
-	if impair && id != "" && id != "R1" {
-		return fmt.Errorf("-impair runs -id R1; it cannot be combined with -id %s", id)
+		return fmt.Errorf("-metrics applies to -all, -id and -rtf, not to -fleet or -list")
 	}
 	var modes []string
 	for _, m := range []struct {
@@ -90,7 +85,7 @@ func validateModes(args []string, fleetRun, list, all, rtf, impair bool, id stri
 		{"-fleet", fleetRun},
 		{"-list", list},
 		{"-all", all},
-		{"-id/-impair", id != "" || impair},
+		{"-id", id != ""},
 		{"-rtf", rtf && !all},
 	} {
 		if m.on {
@@ -129,7 +124,6 @@ func main() {
 
 		artifactDir = flag.String("artifact-dir", "", "checkpoint -all artifacts into this durable store")
 		resume      = flag.Bool("resume", false, "restore already-checkpointed artifacts from -artifact-dir")
-		impaired    = flag.Bool("impair", false, "run the link-resilience sweep (shorthand for -id R1)")
 		rtf         = flag.Bool("rtf", false, "measure the Session real-time factor at 20 MHz")
 
 		fleetRun     = flag.Bool("fleet", false, "run the event-driven fleet engine standalone")
@@ -142,7 +136,7 @@ func main() {
 
 	// Flag combinations are validated up front, so a misconfigured sweep
 	// fails with a usage error before any artifact computes.
-	if err := validateModes(flag.Args(), *fleetRun, *list, *all, *rtf, *impaired, *id, *metrics != ""); err != nil {
+	if err := validateModes(flag.Args(), *fleetRun, *list, *all, *rtf, *id, *metrics != ""); err != nil {
 		usageError("%v", err)
 	}
 	if *parallel < 0 {
@@ -166,10 +160,6 @@ func main() {
 		rep := experiments.RunRTF(*seed)
 		fmt.Println(rep.Render())
 		return rep
-	}
-
-	if *impaired {
-		*id = "R1"
 	}
 
 	switch {

@@ -10,41 +10,35 @@ import (
 
 func TestValidateModes(t *testing.T) {
 	for _, tc := range []struct {
-		name                          string
-		args                          []string
-		fleet, list, all, rtf, impair bool
-		id                            string
-		metrics                       bool
-		want                          string // substring of the error; "" means valid
+		name                  string
+		args                  []string
+		fleet, list, all, rtf bool
+		id                    string
+		metrics               bool
+		want                  string // substring of the error; "" means valid
 	}{
 		{name: "no mode"},
 		{name: "fleet", fleet: true},
 		{name: "list", list: true},
 		{name: "all", all: true},
 		{name: "id", id: "T1"},
-		{name: "impair", impair: true},
 		{name: "rtf", rtf: true},
 		{name: "all with rtf", all: true, rtf: true},
-		{name: "impair with id R1", impair: true, id: "R1"},
 		{name: "list with positional", list: true, args: []string{"extra"}, want: "unexpected arguments"},
 		{name: "all with positional", all: true, args: []string{"F23"}, want: "unexpected arguments"},
 		{name: "id with all", id: "T1", all: true, want: "mutually exclusive"},
 		{name: "fleet with id", fleet: true, id: "T1", want: "mutually exclusive"},
 		{name: "fleet with list", fleet: true, list: true, want: "mutually exclusive"},
 		{name: "list with all", list: true, all: true, want: "mutually exclusive"},
-		{name: "impair with all", impair: true, all: true, want: "mutually exclusive"},
-		{name: "impair with fleet", impair: true, fleet: true, want: "mutually exclusive"},
 		{name: "rtf with id", rtf: true, id: "F23", want: "mutually exclusive"},
 		{name: "rtf with list", rtf: true, list: true, want: "mutually exclusive"},
-		{name: "impair with id F23", impair: true, id: "F23", want: "-impair"},
 		{name: "all with metrics", all: true, metrics: true},
 		{name: "id with metrics", id: "T1", metrics: true},
-		{name: "impair with metrics", impair: true, metrics: true},
 		{name: "rtf with metrics", rtf: true, metrics: true},
 		{name: "list with metrics", list: true, metrics: true, want: "-metrics"},
 		{name: "fleet with metrics", fleet: true, metrics: true, want: "-metrics"},
 	} {
-		err := validateModes(tc.args, tc.fleet, tc.list, tc.all, tc.rtf, tc.impair, tc.id, tc.metrics)
+		err := validateModes(tc.args, tc.fleet, tc.list, tc.all, tc.rtf, tc.id, tc.metrics)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: unexpected error %v", tc.name, err)

@@ -20,7 +20,8 @@
 // top of (or instead of) the level.
 //
 // Usage errors exit 2: an unknown -bw, -mode or -impair value, a bad
-// -sweep, a negative -parallel, impairments without -mode exact, and
+// -sweep, a negative -parallel, a non-finite -power, fewer than one
+// -subframes in exact mode, impairments without -mode exact, and
 // positional arguments, which no mode reads.
 package main
 
@@ -29,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"lscatter/internal/channel"
@@ -149,6 +151,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Mode = core.Exact
 	default:
 		fmt.Fprintf(stderr, "unknown mode %q (use analytic or exact)\n", *mode)
+		return 2
+	}
+	// core.Run uses every field as given, so a value it cannot simulate is a
+	// usage error here rather than a panic or an un-run link later.
+	if math.IsNaN(*power) || math.IsInf(*power, 0) {
+		fmt.Fprintf(stderr, "-power must be finite, got %v\n", *power)
+		return 2
+	}
+	if cfg.Mode == core.Exact && *subframes < 1 {
+		fmt.Fprintf(stderr, "-subframes must be >= 1 in exact mode, got %d\n", *subframes)
 		return 2
 	}
 

@@ -46,6 +46,8 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{[]string{"-no-such-flag"}, "not defined"},
 		{[]string{"-mode", "exakt", "-bw", "1.4"}, "unknown mode"},
 		{[]string{"-mode", "Exact"}, "unknown mode"},
+		{[]string{"-power", "NaN"}, "-power must be finite"},
+		{[]string{"-mode", "exact", "-bw", "1.4", "-subframes", "0"}, "-subframes must be >= 1"},
 		{[]string{"-sweep", "10:20:10", "stray"}, "unexpected arguments: [stray]"},
 		{[]string{"-bw", "1.4", "--", "-mode"}, "unexpected arguments: [-mode]"},
 	} {

@@ -28,13 +28,6 @@ import (
 	"lscatter/internal/ue"
 )
 
-// Auto is the sentinel requesting the documented default for the LinkConfig
-// fields where zero is itself a physically meaningful value (TxPowerDBm,
-// TagLossDB). DefaultLinkConfig never needs it — it fills every field — but
-// a hand-built LinkConfig can set `TxPowerDBm: core.Auto` to mean "the 10 dBm
-// USRP default" while `TxPowerDBm: 0` now honestly means 0 dBm.
-var Auto = math.NaN()
-
 // Mode selects the evaluation method.
 type Mode int
 
@@ -45,21 +38,15 @@ const (
 	Exact
 )
 
-// LinkConfig describes one LScatter deployment scenario.
-//
-// Defaulting rules: fields where a zero value is physically meaningless
-// (CarrierHz, PathLossExponent, NoiseFigureDB, TagSensitivityDBm, Subframes)
-// are filled with their documented defaults when left zero. TxPowerDBm and
-// TagLossDB are different — 0 dBm transmit power and a 0 dB (lossless) tag
-// are legitimate scenarios — so an explicit 0 is honored as 0 and the
-// default is requested with the Auto sentinel (NaN) instead. Start from
-// DefaultLinkConfig to get every default at once.
+// LinkConfig describes one LScatter deployment scenario. Run and Samples
+// use every field as given — an explicit 0 dBm transmit power or a 0 dB
+// (lossless) tag is a legitimate scenario — so start from DefaultLinkConfig,
+// the one place the documented defaults live, and override what differs.
 type LinkConfig struct {
 	// BW is the LTE channel bandwidth.
 	BW ltephy.Bandwidth
-	// TxPowerDBm is the eNodeB transmit power (10 dBm USRP, 40 dBm with
-	// the RF5110 amplifier). Zero means 0 dBm; set Auto for the 10 dBm
-	// default.
+	// TxPowerDBm is the eNodeB transmit power (10 dBm USRP, the default;
+	// 40 dBm with the RF5110 amplifier).
 	TxPowerDBm float64
 	// CarrierHz is the downlink carrier (680 MHz white space in the paper).
 	CarrierHz float64
@@ -71,8 +58,8 @@ type LinkConfig struct {
 	LoS bool
 	// Indoor selects the rich multipath profile for the exact chain.
 	Indoor bool
-	// TagLossDB is the tag reflection/conversion loss. Zero means a
-	// lossless reflection; set Auto for the measured 4 dB default.
+	// TagLossDB is the tag reflection/conversion loss (measured 4 dB, the
+	// default; zero is a lossless reflection).
 	TagLossDB float64
 	// NoiseFigureDB is the UE receiver noise figure (default 7).
 	NoiseFigureDB float64
@@ -163,7 +150,6 @@ func RawBackscatterRate(bw ltephy.Bandwidth) float64 {
 
 // Run evaluates a link configuration.
 func Run(cfg LinkConfig) LinkReport {
-	applyDefaults(&cfg)
 	if cfg.Mode == Exact {
 		return runExact(cfg)
 	}
@@ -177,7 +163,6 @@ func Run(cfg LinkConfig) LinkReport {
 // form; Exact runs the bit-true pipeline once per realization, each with an
 // independently derived seed.
 func Samples(cfg LinkConfig, n int) []float64 {
-	applyDefaults(&cfg)
 	out := make([]float64, n)
 	for i := range out {
 		c := cfg
@@ -191,32 +176,6 @@ func Samples(cfg LinkConfig, n int) []float64 {
 		out[i] = r.ThroughputBps
 	}
 	return out
-}
-
-// applyDefaults fills unset fields (see the LinkConfig doc for which zero
-// values count as "unset" and which are honored literally).
-func applyDefaults(cfg *LinkConfig) {
-	if cfg.CarrierHz == 0 {
-		cfg.CarrierHz = 680e6
-	}
-	if cfg.PathLossExponent == 0 {
-		cfg.PathLossExponent = 2.2
-	}
-	if math.IsNaN(cfg.TagLossDB) {
-		cfg.TagLossDB = 4
-	}
-	if cfg.NoiseFigureDB == 0 {
-		cfg.NoiseFigureDB = 7
-	}
-	if cfg.TagSensitivityDBm == 0 {
-		cfg.TagSensitivityDBm = -45
-	}
-	if cfg.Subframes == 0 {
-		cfg.Subframes = 5
-	}
-	if math.IsNaN(cfg.TxPowerDBm) {
-		cfg.TxPowerDBm = 10
-	}
 }
 
 // DSBHarmonicLossDB is the power fraction of the square wave's first

@@ -191,38 +191,25 @@ func TestSamplesExactMode(t *testing.T) {
 	}
 }
 
-func TestApplyDefaultsSentinels(t *testing.T) {
-	// Auto requests the documented defaults...
-	cfg := LinkConfig{TxPowerDBm: Auto, TagLossDB: Auto}
-	applyDefaults(&cfg)
-	if cfg.TxPowerDBm != 10 {
-		t.Fatalf("Auto TxPowerDBm defaulted to %v, want 10", cfg.TxPowerDBm)
-	}
-	if cfg.TagLossDB != 4 {
-		t.Fatalf("Auto TagLossDB defaulted to %v, want 4", cfg.TagLossDB)
-	}
-	// ...while explicit zeros are honored literally: 0 dBm transmit power
-	// and a lossless tag are valid configurations, not requests for the
-	// defaults.
-	cfg = LinkConfig{}
-	applyDefaults(&cfg)
-	if cfg.TxPowerDBm != 0 {
-		t.Fatalf("explicit TxPowerDBm 0 became %v", cfg.TxPowerDBm)
-	}
-	if cfg.TagLossDB != 0 {
-		t.Fatalf("explicit TagLossDB 0 became %v", cfg.TagLossDB)
-	}
-	// An explicit 0 dBm link must actually run 10 dB weaker than the
-	// default, not silently get promoted back to 10 dBm.
-	lo := DefaultLinkConfig(ltephy.BW20)
+func TestExplicitZerosHonored(t *testing.T) {
+	// Run uses every field as given: 0 dBm transmit power and a lossless
+	// tag are valid configurations, not requests for the defaults. An
+	// explicit 0 dBm link must actually run 10 dB weaker than the default,
+	// and a 0 dB tag stronger than the default 4 dB one.
+	def := DefaultLinkConfig(ltephy.BW20)
+	def.TagToUEM = channel.FeetToMeters(200)
+	def.ENodeBToUEM = channel.FeetToMeters(203)
+	lo := def
 	lo.TxPowerDBm = 0
-	lo.TagToUEM = channel.FeetToMeters(200)
-	lo.ENodeBToUEM = channel.FeetToMeters(203)
-	hi := lo
-	hi.TxPowerDBm = Auto
-	if l, h := Run(lo), Run(hi); l.ThroughputBps >= h.ThroughputBps {
+	if l, d := Run(lo), Run(def); l.ThroughputBps >= d.ThroughputBps {
 		t.Fatalf("0 dBm link (%v bps) not weaker than the 10 dBm default (%v bps)",
-			l.ThroughputBps, h.ThroughputBps)
+			l.ThroughputBps, d.ThroughputBps)
+	}
+	lossless := def
+	lossless.TagLossDB = 0
+	if l, d := Run(lossless), Run(def); l.ScatterSNRdB <= d.ScatterSNRdB {
+		t.Fatalf("0 dB tag (%v dB SNR) not stronger than the 4 dB default (%v dB)",
+			l.ScatterSNRdB, d.ScatterSNRdB)
 	}
 }
 

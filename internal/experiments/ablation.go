@@ -21,29 +21,40 @@ func init() {
 	register("A5", AblationCoding)
 }
 
-// chainBER runs the bit-true chain for a few subframes and returns the
-// measured backscatter BER. It parameterizes the design knobs the ablations
-// sweep.
-func chainBER(bw ltephy.Bandwidth, oversample int, mode tag.Mode, refineIters int, noiseRelDB float64, subframes int, seed uint64) (ber float64, synced bool) {
-	p := ltephy.DefaultParams(bw)
-	p.Oversample = oversample
-	ecfg := enodeb.Config{Params: p, Scheme: enodeb.DefaultConfig(bw).Scheme, TxPowerDBm: 10, Seed: seed}
+// chain is the ablations' bit-true 1.4 MHz link: a -40 dB direct path and
+// a -70 dB tag path, with the design knobs the ablations sweep.
+type chain struct {
+	oversample  int      // waveform oversampling factor
+	mode        tag.Mode // tag switching scheme
+	timingErr   int      // tag timing error in basic-timing units
+	refineIters int      // Eq. 7 refinement passes; 0 disables refinement
+	record      bool     // keep the per-bit error pattern (DemodSink.Pattern)
+}
+
+// baseChain is the setting A1, A2, A4 and V1 vary one knob of.
+var baseChain = chain{oversample: 4, mode: tag.DSB, timingErr: 3, refineIters: 2}
+
+// run runs the chain for a few subframes with noise noiseRelDB below the
+// scatter power and returns the UE's sink.
+func (c chain) run(noiseRelDB float64, subframes int, seed uint64) *simlink.DemodSink {
+	p := ltephy.DefaultParams(ltephy.BW1_4)
+	p.Oversample = c.oversample
+	ecfg := enodeb.Config{Params: p, Scheme: enodeb.DefaultConfig(p.BW).Scheme, TxPowerDBm: 10, Seed: seed}
 	enb := enodeb.New(ecfg)
 	r := rng.New(seed + 7)
 	mod := tag.NewModulator(tag.ModConfig{
 		Params:           p,
-		Mode:             mode,
-		TimingErrorUnits: 3,
+		Mode:             c.mode,
+		TimingErrorUnits: c.timingErr,
 		SampleOffset:     1,
 	})
 	mod.QueueBits(r.Bits(make([]byte, subframes*12*mod.PerSymbolBits())))
 	lteRx := ue.NewLTEReceiver(p, ecfg.Scheme)
 	scfg := ue.DefaultScatterConfig(p)
-	scfg.Mode = mode
-	if refineIters == 0 {
+	scfg.Mode = c.mode
+	scfg.RefineIters = c.refineIters
+	if c.refineIters == 0 {
 		scfg.RefineIters = -1 // explicit disable
-	} else {
-		scfg.RefineIters = refineIters
 	}
 	sc := ue.NewScatterDemod(scfg)
 
@@ -51,7 +62,7 @@ func chainBER(bw ltephy.Bandwidth, oversample int, mode tag.Mode, refineIters in
 	const scatterGainDB = -70
 	scatP := 0.01 * channelFromDB(scatterGainDB)
 	noiseW := scatP * channelFromDB(noiseRelDB)
-	sink := &simlink.DemodSink{LTE: lteRx, Scatter: sc}
+	sink := &simlink.DemodSink{LTE: lteRx, Scatter: sc, RecordPattern: c.record}
 	sess := &simlink.Session{
 		Source: enb,
 		Direct: simlink.GainDB(directGainDB),
@@ -60,37 +71,15 @@ func chainBER(bw ltephy.Bandwidth, oversample int, mode tag.Mode, refineIters in
 		Sink:   sink,
 	}
 	sess.Run(subframes)
-	return sink.Totals().BER(), sink.Synced
+	return sink
+}
+
+// ber runs the chain and returns the measured backscatter BER.
+func (c chain) ber(noiseRelDB float64, subframes int, seed uint64) float64 {
+	return c.run(noiseRelDB, subframes, seed).Totals().BER()
 }
 
 func channelFromDB(db float64) float64 { return channel.DBmToWatts(db + 30) }
-
-// chainErrorPattern runs the bit-true chain and returns the per-bit error
-// indicators in transmit order (true = flipped). The error process does not
-// depend on payload content, so codec ablations can replay it over coded
-// and uncoded framings of the same link.
-func chainErrorPattern(bw ltephy.Bandwidth, noiseRelDB float64, subframes int, seed uint64) []bool {
-	p := ltephy.DefaultParams(bw)
-	ecfg := enodeb.Config{Params: p, Scheme: enodeb.DefaultConfig(bw).Scheme, TxPowerDBm: 10, Seed: seed}
-	enb := enodeb.New(ecfg)
-	r := rng.New(seed + 7)
-	mod := tag.NewModulator(tag.ModConfig{Params: p, TimingErrorUnits: 2, SampleOffset: 1})
-	mod.QueueBits(r.Bits(make([]byte, subframes*12*mod.PerSymbolBits())))
-	lteRx := ue.NewLTEReceiver(p, ecfg.Scheme)
-	sc := ue.NewScatterDemod(ue.DefaultScatterConfig(p))
-	scatP := 0.01 * channelFromDB(-70)
-	noiseW := scatP * channelFromDB(noiseRelDB)
-	sink := &simlink.DemodSink{LTE: lteRx, Scatter: sc, RecordPattern: true}
-	sess := &simlink.Session{
-		Source: enb,
-		Direct: simlink.GainDB(-40),
-		Tags:   []*simlink.Tag{{Mod: mod, Path: simlink.GainDB(-70)}},
-		Link:   channel.NewLink(r.Fork(1), noiseW),
-		Sink:   sink,
-	}
-	sess.Run(subframes)
-	return sink.Pattern
-}
 
 // AblationCoding compares uncoded 240-bit frames against rate-1/2 coded
 // frames over the same measured error pattern of the bit-true chain.
@@ -102,8 +91,13 @@ func AblationCoding(seed uint64) *Result {
 	}
 	codec := scatterframe.NewCodec()
 	const payloadBits = 240
+	// The error process does not depend on payload content, so the chain's
+	// per-bit error pattern replays over coded and uncoded framings of the
+	// same link.
+	c := baseChain
+	c.timingErr, c.record = 2, true
 	for _, rel := range []float64{-22, -17, -14} {
-		pattern := chainErrorPattern(ltephy.BW1_4, rel, 6, seed)
+		pattern := c.run(rel, 6, seed).Pattern
 		errs := 0
 		for _, e := range pattern {
 			if e {
@@ -193,8 +187,9 @@ func AblationRefinement(seed uint64) *Result {
 		Header: []string{"refine iters", "BER clean", "BER @18dB"},
 	}
 	for _, iters := range []int{0, 1, 2, 4} {
-		clean, _ := chainBER(ltephy.BW1_4, 4, tag.DSB, iters, -80, 3, seed)
-		noisy, _ := chainBER(ltephy.BW1_4, 4, tag.DSB, iters, -18, 3, seed)
+		c := baseChain
+		c.refineIters = iters
+		clean, noisy := c.ber(-80, 3, seed), c.ber(-18, 3, seed)
 		res.Rows = append(res.Rows, []string{fmt.Sprintf("%d", iters), fber(clean), fber(noisy)})
 	}
 	res.Notes = append(res.Notes,
@@ -215,8 +210,9 @@ func AblationSideband(seed uint64) *Result {
 		name string
 		mode tag.Mode
 	}{{"DSB", tag.DSB}, {"SSB", tag.SSB}} {
-		hi, _ := chainBER(ltephy.BW1_4, 4, m.mode, 2, -20, 3, seed)
-		lo, _ := chainBER(ltephy.BW1_4, 4, m.mode, 2, -14, 3, seed)
+		c := baseChain
+		c.mode = m.mode
+		hi, lo := c.ber(-20, 3, seed), c.ber(-14, 3, seed)
 		res.Rows = append(res.Rows, []string{m.name, fber(hi), fber(lo)})
 	}
 	res.Notes = append(res.Notes,
@@ -266,8 +262,11 @@ func AblationOversampling(seed uint64) *Result {
 		Header: []string{"oversample", "BER clean", "BER @18dB", "synced"},
 	}
 	for _, ov := range []int{4, 8} {
-		clean, s1 := chainBER(ltephy.BW1_4, ov, tag.DSB, 2, -80, 3, seed)
-		noisy, _ := chainBER(ltephy.BW1_4, ov, tag.DSB, 2, -18, 3, seed)
+		c := baseChain
+		c.oversample = ov
+		cleanSink := c.run(-80, 3, seed)
+		clean, s1 := cleanSink.Totals().BER(), cleanSink.Synced
+		noisy := c.ber(-18, 3, seed)
 		res.Rows = append(res.Rows, []string{fmt.Sprintf("%dx", ov), fber(clean), fber(noisy), fmt.Sprintf("%v", s1)})
 	}
 	res.Notes = append(res.Notes,

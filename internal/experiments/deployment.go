@@ -51,8 +51,9 @@ type DeploymentConfig struct {
 	// (ImpairmentLevels: "off", "mild", "moderate", "severe") applied to the
 	// exact chain of every tag. Empty means "off".
 	Impair string
-	// TxPowerDBm and TagLossDB follow the core.LinkConfig sentinel rules:
-	// explicit 0 is honored, core.Auto requests the documented default.
+	// TxPowerDBm and TagLossDB are used as given, like every core.LinkConfig
+	// field: 0 dBm and a lossless tag are legitimate. The defaults are
+	// core.DefaultLinkConfig's.
 	TxPowerDBm, TagLossDB float64
 	// Seed drives every random element (see the determinism contract above).
 	Seed uint64

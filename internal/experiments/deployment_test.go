@@ -11,6 +11,7 @@ import (
 )
 
 func tinyDeployment() DeploymentConfig {
+	link := core.DefaultLinkConfig(ltephy.BW20)
 	return DeploymentConfig{
 		Venue:        traffic.Home,
 		BW:           ltephy.BW20,
@@ -20,8 +21,8 @@ func tinyDeployment() DeploymentConfig {
 		Traffic:      traffic.LTE,
 		Hour:         12,
 		Mode:         core.SemiAnalytic,
-		TxPowerDBm:   core.Auto,
-		TagLossDB:    core.Auto,
+		TxPowerDBm:   link.TxPowerDBm,
+		TagLossDB:    link.TagLossDB,
 		Seed:         42,
 	}
 }

@@ -28,7 +28,7 @@ type ImpairmentLevel struct {
 }
 
 // ImpairmentLevels is the canonical off/mild/moderate/severe ladder used by
-// the R1 sweep and `lscatter-bench -impair`. The mild rung is a healthy
+// the R1 sweep (`lscatter-bench -id R1`). The mild rung is a healthy
 // commercial deployment (TCXO-grade clocks, occasional co-channel activity);
 // severe approaches the worst conditions the paper's §4.4 robustness
 // discussion contemplates.

@@ -7,7 +7,6 @@ import (
 	"lscatter/internal/core"
 	"lscatter/internal/dsp"
 	"lscatter/internal/ltephy"
-	"lscatter/internal/tag"
 )
 
 func init() {
@@ -34,15 +33,15 @@ func ValidationModelVsChain(seed uint64) *Result {
 	for _, rel := range []float64{-26, -22, -18, -14, -11} {
 		g := float64(p.Oversample) * dsp.FromDB(-core.DSBHarmonicLossDB-core.CleanBinLossDB-rel)
 		model := 0.5 * (1 - math.Sqrt(g/(1+g)))
-		chain, _ := chainBER(ltephy.BW1_4, p.Oversample, tag.DSB, 2, rel, 6, seed)
+		measured := baseChain.ber(rel, 6, seed)
 		ratio := "-"
-		if model > 0 && chain > 0 {
-			ratio = fmt.Sprintf("%.2f", chain/model)
+		if model > 0 && measured > 0 {
+			ratio = fmt.Sprintf("%.2f", measured/model)
 		}
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%+.0f", rel),
 			f1(10 * math.Log10(g)),
-			fber(model), fber(chain), ratio,
+			fber(model), fber(measured), ratio,
 		})
 	}
 	res.Notes = append(res.Notes,

@@ -10,7 +10,7 @@
 // shared generator — so enabling or disabling one stage cannot change another
 // stage's randomness. A run with the same Config is therefore
 // byte-reproducible at any stage combination, which is what lets the
-// resilience sweep (experiments "R1", `lscatter-bench -impair`) attribute a
+// resilience sweep (experiments "R1", `lscatter-bench -id R1`) attribute a
 // BER change to exactly one knob.
 //
 // The models follow the impairments reported as dominant for LTE backscatter

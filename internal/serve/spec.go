@@ -18,8 +18,8 @@ import (
 // Spec is the wire form of one deployment-simulation request. Fields where
 // the JSON zero value is itself meaningful (0 dBm transmit power, a lossless
 // tag, midnight) are pointers: absent means "use the documented default",
-// an explicit zero is honored as zero — the same contract core.LinkConfig
-// implements with the core.Auto sentinel.
+// an explicit zero is honored as zero. The link defaults (transmit power,
+// tag loss, exact-mode subframes) are core.DefaultLinkConfig's.
 //
 // Unknown fields are rejected at decode time so a typoed knob fails loudly
 // instead of silently running the default deployment.
@@ -218,9 +218,10 @@ func (s *Spec) Normalize() (*Spec, error) {
 
 	// Mode-dependent rules. Knobs that only the exact chain honors are
 	// rejected — not silently ignored — on semi-analytic requests.
+	def := core.DefaultLinkConfig(bw)
 	if n.Mode == "exact" {
 		if n.Subframes == 0 {
-			n.Subframes = 5
+			n.Subframes = def.Subframes
 		}
 		if n.Subframes > MaxSubframes {
 			return nil, fmt.Errorf("spec: subframes = %d exceeds the service cap %d", n.Subframes, MaxSubframes)
@@ -244,14 +245,13 @@ func (s *Spec) Normalize() (*Spec, error) {
 		}
 	}
 
-	// Defaults for the remaining pointers: absent means core.Auto, which
-	// core.applyDefaults resolves (10 dBm, 4 dB). They are materialized here
-	// so the canonical form is fully explicit.
+	// Defaults for the remaining pointers, materialized here so the
+	// canonical form is fully explicit.
 	if n.TxPowerDBm == nil {
-		n.TxPowerDBm = ptr(10.0)
+		n.TxPowerDBm = ptr(def.TxPowerDBm)
 	}
 	if n.TagLossDB == nil {
-		n.TagLossDB = ptr(4.0)
+		n.TagLossDB = ptr(def.TagLossDB)
 	}
 	return &n, nil
 }

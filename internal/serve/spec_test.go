@@ -40,7 +40,7 @@ func TestSpecDecodeRejects(t *testing.T) {
 
 // TestSpecDefaulting pins the zero-vs-absent contract: absent optional
 // fields take the documented defaults, explicit zeros are honored as zeros
-// (the PR 5 core.Auto lesson, carried to the wire format with pointers).
+// (the wire format's pointers keep the two apart).
 func TestSpecDefaulting(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -144,6 +144,27 @@ func TestSpecDefaulting(t *testing.T) {
 			}
 			tc.check(t, n)
 		})
+	}
+}
+
+// TestNormalizeLinkDefaults pins Normalize's absent transmit power, tag loss
+// and exact-mode subframes to core.DefaultLinkConfig, the one owner of the
+// link defaults.
+func TestNormalizeLinkDefaults(t *testing.T) {
+	for _, body := range []string{`{}`, `{"mode":"exact","bandwidth":"1.4MHz"}`, `{"mode":"exact","bandwidth":"5MHz"}`} {
+		n, err := decodeValid(t, body).Normalize()
+		if err != nil {
+			t.Fatalf("%s: normalize: %v", body, err)
+		}
+		d := n.Deployment()
+		want := core.DefaultLinkConfig(d.BW)
+		if d.TxPowerDBm != want.TxPowerDBm || d.TagLossDB != want.TagLossDB {
+			t.Errorf("%s: tx %v dBm, loss %v dB; DefaultLinkConfig has %v, %v",
+				body, d.TxPowerDBm, d.TagLossDB, want.TxPowerDBm, want.TagLossDB)
+		}
+		if n.Mode == "exact" && n.Subframes != want.Subframes {
+			t.Errorf("%s: subframes %d; DefaultLinkConfig has %d", body, n.Subframes, want.Subframes)
+		}
 	}
 }
 

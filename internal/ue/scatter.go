@@ -85,6 +85,7 @@ type ScatterDemod struct {
 	subOff   int          // sub-unit offset in oversampled samples [0, Oversample)
 	chanEst  []complex128 // per-bin equalizer over clean bins (length n)
 	cleanBin []bool       // usable hybrid observation bins
+	nClean   int          // how many cleanBin entries are set
 	// precomputed state (read-only after construction)
 	wave    []complex128        // downshifted phase-0 switch waveform per unit
 	mixer   []complex128        // downshift phasors, indexed by (position % Oversample) + Oversample - 1
@@ -132,6 +133,7 @@ func NewScatterDemod(cfg ScatterConfig) *ScatterDemod {
 	for b := range kernel {
 		if d.cleanBin[b] {
 			kernel[b] = 1
+			d.nClean++
 		}
 	}
 	d.kTime2 = make([]complex128, 2*d.n)
@@ -208,15 +210,7 @@ func (d *ScatterDemod) computeCleanBins() []bool {
 }
 
 // CleanBinCount returns how many observation bins the demodulator uses.
-func (d *ScatterDemod) CleanBinCount() int {
-	c := 0
-	for _, b := range d.cleanBin {
-		if b {
-			c++
-		}
-	}
-	return c
-}
+func (d *ScatterDemod) CleanBinCount() int { return d.nClean }
 
 // Reset clears burst state (sync and channel estimate).
 func (d *ScatterDemod) Reset() { d.haveSync = false; d.chanEst = nil }
@@ -543,20 +537,12 @@ func (d *ScatterDemod) refine(hyb, refSamples []complex128, l, w0 int, bitsOut [
 	refStart := ltephy.UsefulStart(p, l)
 	wave := d.wave
 	sub := d.subOff
-	// Reference r[rel] = x_ref * wave over the useful window at the burst's
-	// sub-unit alignment, and per-unit energies T_u over the unit's samples
-	// [u*ov+sub, u*ov+sub+ov). T_u and alpha_u are read only for the
-	// decision window's units [w0, w0+len(bitsOut)), so only those are
-	// computed.
+	// Reference r[rel] = x_ref * wave at the burst's sub-unit alignment
+	// (sample u*ov+sub+m of unit u carries wave[m]), and per-unit energies
+	// T_u over the unit's samples [u*ov+sub, u*ov+sub+ov). Every later pass
+	// reads ref, T_u and alpha_u only for the decision window's units
+	// [w0, w0+len(bitsOut)), so only those are computed.
 	ref := d.scrRef
-	for rel := 0; rel < n; rel++ {
-		local := rel - sub
-		m := local % ov
-		if m < 0 {
-			m += ov
-		}
-		ref[rel] = refSamples[refStart+rel] * wave[m]
-	}
 	sampleOf := func(u, m int) int { return u*ov + sub + m }
 	uEnd := w0 + len(bitsOut)
 	tU := d.scrTU[:d.nNom]
@@ -567,7 +553,8 @@ func (d *ScatterDemod) refine(hyb, refSamples []complex128, l, w0 int, bitsOut [
 			if i >= n {
 				break
 			}
-			v := ref[i]
+			v := refSamples[refStart+i] * wave[m]
+			ref[i] = v
 			e += real(v)*real(v) + imag(v)*imag(v)
 		}
 		tU[u] = e
@@ -592,7 +579,7 @@ func (d *ScatterDemod) refine(hyb, refSamples []complex128, l, w0 int, bitsOut [
 		}
 		alpha[u] = real(acc)
 	}
-	kappa0 := float64(d.CleanBinCount()) / float64(n)
+	kappa0 := float64(d.nClean) / float64(n)
 	// Initial residual e = hyb - B(ref * s) with the starting decisions
 	// (idle units carry s = +1).
 	expect := d.scrExpect

@@ -1,11 +1,14 @@
 // Command benchdiff compares two lscatter-bench -metrics JSON reports and
-// fails when the newer one regresses beyond a threshold. It prints a
-// per-artifact table of wall-clock, allocated bytes and malloc counts, the
-// report totals, and exits nonzero if total alloc_bytes or total wall time
-// grew by more than the allowed percentage (allocations are the primary
-// budget this repo tracks; wall time is advisory by default).
+// fails when the newer one's allocations regress beyond a threshold. It
+// prints a per-artifact table of wall-clock and allocated bytes, the report
+// totals, and exits nonzero if total alloc_bytes grew by more than the
+// allowed percentage. Allocations are the budget this repo tracks: they are
+// deterministic. Each report's wall times come from one run, taken whenever
+// it was recorded on a shared box, so the wall columns and total are
+// labeled single-run and advisory and never gate; compare wall clock with
+// alternated runs of both commits on the same box instead.
 //
-// Usage: go run ./tools/benchdiff [-max-alloc-regress pct] [-max-wall-regress pct] OLD.json NEW.json
+// Usage: go run ./tools/benchdiff [-max-alloc-regress pct] OLD.json NEW.json
 package main
 
 import (
@@ -61,10 +64,9 @@ func mb(b uint64) float64 { return float64(b) / (1 << 20) }
 
 func main() {
 	maxAlloc := flag.Float64("max-alloc-regress", 5, "fail if total alloc_bytes grows more than this percent")
-	maxWall := flag.Float64("max-wall-regress", -1, "fail if total wall time grows more than this percent (<0 = advisory only)")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-max-alloc-regress pct] [-max-wall-regress pct] OLD.json NEW.json")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-max-alloc-regress pct] OLD.json NEW.json")
 		os.Exit(2)
 	}
 	oldR, err := load(flag.Arg(0))
@@ -82,8 +84,9 @@ func main() {
 	for _, a := range oldR.Artifacts {
 		oldByID[a.ID] = a
 	}
+	fmt.Println("wall: one run per report, advisory only (not gated)")
 	fmt.Printf("%-4s %12s %12s %8s %12s %12s %8s\n",
-		"id", "wall(old)", "wall(new)", "Δ%", "alloc(old)", "alloc(new)", "Δ%")
+		"id", "wall1(old)", "wall1(new)", "Δ%", "alloc(old)", "alloc(new)", "Δ%")
 	for _, n := range newR.Artifacts {
 		o, ok := oldByID[n.ID]
 		if !ok {
@@ -110,22 +113,13 @@ func main() {
 	oa, om, ow := oldR.totals()
 	na, nm, nw := newR.totals()
 	allocPct := pct(float64(oa), float64(na))
-	wallPct := pct(ow, nw)
-	fmt.Printf("\ntotal wall:    %.3fs -> %.3fs (%+.1f%%)\n", ow, nw, wallPct)
+	fmt.Printf("\ntotal wall (single run, advisory): %.3fs -> %.3fs (%+.1f%%)\n", ow, nw, pct(ow, nw))
 	fmt.Printf("total alloc:   %.1fMB -> %.1fMB (%+.1f%%)\n", mb(oa), mb(na), allocPct)
 	fmt.Printf("total mallocs: %d -> %d (%+.1f%%)\n", om, nm, pct(float64(om), float64(nm)))
 
-	fail := false
 	if allocPct > *maxAlloc {
 		fmt.Printf("FAIL: total alloc_bytes regressed %.1f%% (limit %.1f%%)\n", allocPct, *maxAlloc)
-		fail = true
-	}
-	if *maxWall >= 0 && wallPct > *maxWall {
-		fmt.Printf("FAIL: total wall time regressed %.1f%% (limit %.1f%%)\n", wallPct, *maxWall)
-		fail = true
-	}
-	if fail {
 		os.Exit(1)
 	}
-	fmt.Println("OK: within regression thresholds")
+	fmt.Println("OK: total alloc_bytes within the regression threshold")
 }

@@ -1,10 +1,12 @@
-// Command servedcheck is the make served-check smoke driver: it builds
-// nothing itself, but launches an already-built lscatter-served binary on an
+// Command servedcheck is the make served-check driver: it builds nothing
+// itself, but launches an already-built lscatter-served binary on an
 // ephemeral port and exercises the service end to end over real TCP. It is
 // the one gate that proves the shipped binary — flags, listener, signal
-// handling, on-disk state — works outside the httptest harness.
+// handling, on-disk state, coalescing under real concurrency — works
+// outside the httptest harness, and the one place its sustained runs/sec is
+// measured.
 //
-// Three phases run back to back:
+// Four phases run back to back:
 //
 //  1. Bad flags: -workers 0 must be a usage error — exit status 2 without
 //     ever printing the listening banner.
@@ -14,8 +16,14 @@
 //     disk write), SIGKILL the process (the crash), restart over the same
 //     directory, and require the resubmission to be a disk-served cache hit
 //     with a byte-identical body and zero recompute.
+//  4. Load: for -load-time, closed-loop rounds against a server with a
+//     1-entry memory store over a temporary artifact directory (see
+//     runLoad). It prints rounds, submissions, sustained runs/sec and the
+//     coalesce, memory-hit and disk-hit rates read back from /metricsz, and
+//     fails unless coalesced joins and disk hits both happened; SIGTERM
+//     must then drain and exit 0.
 //
-// Usage: servedcheck -bin bin/lscatter-served
+// Usage: servedcheck -bin bin/lscatter-served -load-time 5s
 package main
 
 import (
@@ -31,24 +39,28 @@ import (
 	"os"
 	"os/exec"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 )
 
 func main() {
 	bin := flag.String("bin", "bin/lscatter-served", "path to the lscatter-served binary")
+	loadTime := flag.Duration("load-time", 5*time.Second, "how long the load phase submits rounds")
 	flag.Parse()
-	if err := runBadFlags(*bin); err != nil {
-		fmt.Fprintf(os.Stderr, "servedcheck: FAIL (bad flags): %v\n", err)
-		os.Exit(1)
-	}
-	if err := runGraceful(*bin); err != nil {
-		fmt.Fprintf(os.Stderr, "servedcheck: FAIL (graceful): %v\n", err)
-		os.Exit(1)
-	}
-	if err := runDurable(*bin); err != nil {
-		fmt.Fprintf(os.Stderr, "servedcheck: FAIL (durable): %v\n", err)
-		os.Exit(1)
+	for _, phase := range []struct {
+		name string
+		run  func() error
+	}{
+		{"bad flags", func() error { return runBadFlags(*bin) }},
+		{"graceful", func() error { return runGraceful(*bin) }},
+		{"durable", func() error { return runDurable(*bin) }},
+		{"load", func() error { return runLoad(*bin, *loadTime) }},
+	} {
+		if err := phase.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "servedcheck: FAIL (%s): %v\n", phase.name, err)
+			os.Exit(1)
+		}
 	}
 	fmt.Println("servedcheck: OK")
 }
@@ -59,10 +71,10 @@ type server struct {
 	base string
 }
 
-// launch starts the binary with the standard smoke flags plus extra, and
-// waits for the health endpoint.
+// launch starts the binary on an ephemeral port with a 10s drain plus
+// extra, and waits for the health endpoint.
 func launch(bin string, extra ...string) (*server, error) {
-	args := append([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-drain", "10s"}, extra...)
+	args := append([]string{"-addr", "127.0.0.1:0", "-drain", "10s"}, extra...)
 	cmd := exec.Command(bin, args...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -121,7 +133,6 @@ type submitDoc struct {
 	State      string `json:"state"`
 	CacheHit   bool   `json:"cache_hit"`
 	ResultsURL string `json:"results_url"`
-	StatusURL  string `json:"status_url"`
 }
 
 func (s *server) submit(spec string) (submitDoc, error) {
@@ -136,11 +147,21 @@ func (s *server) submit(spec string) (submitDoc, error) {
 	return sub, nil
 }
 
-// awaitDone polls a run to completion.
-func (s *server) awaitDone(sub submitDoc) error {
-	deadline := time.Now().Add(15 * time.Second)
+// cancel asks the server to cancel a run; the outcome is not checked.
+func (s *server) cancel(id string) {
+	req, _ := http.NewRequest(http.MethodDelete, s.base+"/v1/runs/"+id, nil)
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+}
+
+// awaitDone polls a run every 10ms until it is done, failing if it ends
+// otherwise or is still running after timeout.
+func (s *server) awaitDone(id string, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
 	for {
-		resp, err := http.Get(s.base + sub.StatusURL)
+		resp, err := http.Get(s.base + "/v1/runs/" + id)
 		if err != nil {
 			return fmt.Errorf("poll: %w", err)
 		}
@@ -151,16 +172,16 @@ func (s *server) awaitDone(sub submitDoc) error {
 		if err := decodeInto(resp, http.StatusOK, &st); err != nil {
 			return fmt.Errorf("poll: %w", err)
 		}
-		if st.State == "done" {
+		switch st.State {
+		case "done":
 			return nil
-		}
-		if st.State == "failed" || st.State == "canceled" {
-			return fmt.Errorf("run %s ended %s: %s", sub.ID, st.State, st.Error)
+		case "failed", "canceled":
+			return fmt.Errorf("run %s ended %s: %s", id, st.State, st.Error)
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("run %s still %s after 15s", sub.ID, st.State)
+			return fmt.Errorf("run %s still %s after %s", id, st.State, timeout)
 		}
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -186,13 +207,14 @@ type metricsDoc struct {
 	Jobs struct {
 		Submitted int `json:"submitted"`
 		Computed  int `json:"computed"`
+		CacheHits int `json:"cache_hits"`
 		DiskHits  int `json:"disk_hits"`
+		Coalesced int `json:"coalesced"`
 	} `json:"jobs"`
 	Disk *struct {
-		Hits        int `json:"hits"`
-		Misses      int `json:"misses"`
-		Puts        int `json:"puts"`
-		Quarantined int `json:"quarantined"`
+		Hits   int `json:"hits"`
+		Misses int `json:"misses"`
+		Puts   int `json:"puts"`
 	} `json:"disk"`
 }
 
@@ -228,7 +250,7 @@ func runBadFlags(bin string) error {
 
 // runGraceful is phase 2: the original memory-only smoke.
 func runGraceful(bin string) error {
-	srv, err := launch(bin)
+	srv, err := launch(bin, "-workers", "1")
 	if err != nil {
 		return err
 	}
@@ -238,7 +260,7 @@ func runGraceful(bin string) error {
 	if err != nil {
 		return err
 	}
-	if err := srv.awaitDone(sub); err != nil {
+	if err := srv.awaitDone(sub.ID, 15*time.Second); err != nil {
 		return err
 	}
 	body, err := srv.resultsBody(sub)
@@ -286,7 +308,7 @@ func runDurable(bin string) error {
 
 	const spec = `{"venue":"home","tags":2,"seed":777777}`
 
-	srv1, err := launch(bin, "-artifact-dir", dir)
+	srv1, err := launch(bin, "-workers", "1", "-artifact-dir", dir)
 	if err != nil {
 		return err
 	}
@@ -295,7 +317,7 @@ func runDurable(bin string) error {
 	if err != nil {
 		return err
 	}
-	if err := srv1.awaitDone(sub1); err != nil {
+	if err := srv1.awaitDone(sub1.ID, 15*time.Second); err != nil {
 		return err
 	}
 	body1, err := srv1.resultsBody(sub1)
@@ -316,7 +338,7 @@ func runDurable(bin string) error {
 	}
 	fmt.Printf("servedcheck: killed pid %d with artifacts in %s\n", srv1.cmd.Process.Pid, dir)
 
-	srv2, err := launch(bin, "-artifact-dir", dir)
+	srv2, err := launch(bin, "-workers", "1", "-artifact-dir", dir)
 	if err != nil {
 		return fmt.Errorf("restart over crashed artifact dir: %w", err)
 	}
@@ -348,6 +370,116 @@ func runDurable(bin string) error {
 	fmt.Printf("servedcheck: restart served run %s byte-identical from disk (0 recomputed)\n", sub2.ID)
 
 	return srv2.sigterm()
+}
+
+// The load phase's traffic shape.
+const (
+	loadBurst   = 6   // clients per concurrent-identical burst
+	loadTags    = 300 // burst fleet size: big enough to stay in flight while the burst joins
+	cancelEvery = 4   // every 4th round's burst is canceled instead of awaited
+	minRounds   = 2   // fewer full rounds than this fails the phase
+)
+
+// runLoad is phase 4. Each round (a) has loadBurst clients submit the
+// identical fresh spec concurrently, which must coalesce; (b) resubmits the
+// previous round's spec, which the 1-entry memory store can only serve from
+// disk; (c) submits one unique small run. Every cancelEvery-th round's burst
+// is canceled instead of awaited.
+func runLoad(bin string, loadTime time.Duration) error {
+	dir, err := os.MkdirTemp("", "servedcheck-load-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	srv, err := launch(bin, "-workers", "2", "-queue", "256", "-store", "1", "-artifact-dir", dir)
+	if err != nil {
+		return err
+	}
+	defer srv.cmd.Process.Kill()
+	before, err := srv.metrics()
+	if err != nil {
+		return err
+	}
+
+	burstSpec := func(round int) string {
+		return fmt.Sprintf(`{"tags":%d,"seed":%d}`, loadTags, 10_000+round)
+	}
+	canceled := func(round int) bool { return round%cancelEvery == cancelEvery-1 }
+	start := time.Now()
+	rounds := 0
+	for ; time.Since(start) < loadTime; rounds++ {
+		if err := srv.burst(burstSpec(rounds), canceled(rounds)); err != nil {
+			return err
+		}
+		if rounds > 0 && !canceled(rounds-1) {
+			if _, err := srv.submit(burstSpec(rounds - 1)); err != nil {
+				return err
+			}
+		}
+		if _, err := srv.submit(fmt.Sprintf(`{"tags":2,"seed":%d}`, 90_000+rounds)); err != nil {
+			return err
+		}
+	}
+	elapsed := time.Since(start)
+
+	after, err := srv.metrics()
+	if err != nil {
+		return err
+	}
+	submitted := after.Jobs.Submitted - before.Jobs.Submitted
+	computed := after.Jobs.Computed - before.Jobs.Computed
+	cacheHits := after.Jobs.CacheHits - before.Jobs.CacheHits
+	diskHits := after.Jobs.DiskHits - before.Jobs.DiskHits
+	coalesced := after.Jobs.Coalesced - before.Jobs.Coalesced
+	rate := func(n int) float64 {
+		if submitted == 0 {
+			return 0
+		}
+		return 100 * float64(n) / float64(submitted)
+	}
+	fmt.Printf("servedcheck: load: %d rounds, %d submissions in %.2fs\n", rounds, submitted, elapsed.Seconds())
+	fmt.Printf("servedcheck: load: %.1f runs/sec sustained (%d computed)\n", float64(computed)/elapsed.Seconds(), computed)
+	fmt.Printf("servedcheck: load: coalesced %d (%.1f%%), memory hits %d (%.1f%%), disk hits %d (%.1f%%)\n",
+		coalesced, rate(coalesced), cacheHits, rate(cacheHits), diskHits, rate(diskHits))
+
+	if rounds < minRounds {
+		return fmt.Errorf("only %d full rounds in %s, want >= %d", rounds, loadTime, minRounds)
+	}
+	if coalesced == 0 {
+		return fmt.Errorf("no coalesced joins under %d-way identical bursts", loadBurst)
+	}
+	if diskHits == 0 {
+		return fmt.Errorf("no disk hits despite -store 1 over an artifact dir")
+	}
+	return srv.sigterm()
+}
+
+// burst has loadBurst clients submit spec concurrently, then either cancels
+// every returned id — coalesced ids alias one run, so canceling each waiter
+// tears the whole flight down — or awaits the run.
+func (s *server) burst(spec string, cancel bool) error {
+	ids := make([]string, loadBurst)
+	errs := make([]error, loadBurst)
+	var wg sync.WaitGroup
+	for c := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sub, err := s.submit(spec)
+			ids[c], errs[c] = sub.ID, err
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	if !cancel {
+		return s.awaitDone(ids[0], 60*time.Second)
+	}
+	for _, id := range ids {
+		s.cancel(id)
+	}
+	return nil
 }
 
 func readBaseURL(stdout io.Reader) (string, error) {

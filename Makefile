@@ -45,10 +45,8 @@ docs-check:
 # docs/RESILIENCE.md).
 FUZZTIME ?= 30s
 fuzz-smoke:
-	$(GO) test ./internal/ue -run='^$$' -fuzz=FuzzCellSearch -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ue -run='^$$' -fuzz=FuzzEstimateCFO -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/scatterframe -run='^$$' -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/scatterframe -run='^$$' -fuzz=FuzzDecodeSoft -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dsp -run='^$$' -fuzz=FuzzCorrelatorEquivalence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dsp -run='^$$' -fuzz=FuzzFIREquivalence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dsp -run='^$$' -fuzz=FuzzFFTEquivalence -fuzztime=$(FUZZTIME)

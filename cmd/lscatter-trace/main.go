@@ -6,11 +6,15 @@
 //
 //	lscatter-trace -tech wifi -venue office -hours 24
 //	lscatter-trace -tech lte -spectrogram
+//
+// Usage errors exit 2: an unknown -tech or -venue, fewer than one -hours
+// and positional arguments, which no mode reads.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"lscatter/internal/stats"
@@ -38,25 +42,43 @@ func venueFlag(s string) (traffic.Venue, error) {
 	return 0, fmt.Errorf("unknown venue %q (home, office, classroom, mall, outdoor)", s)
 }
 
-func main() {
-	var (
-		techStr  = flag.String("tech", "wifi", "technology: lte, wifi, lora")
-		venueStr = flag.String("venue", "home", "venue: home, office, classroom, mall, outdoor")
-		hours    = flag.Int("hours", 24, "hours of occupancy to sample")
-		spect    = flag.Bool("spectrogram", false, "synthesize a 20 ms IQ snapshot and report measured occupancy")
-		seed     = flag.Uint64("seed", 1, "random seed")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is the whole command: it parses args, writes the occupancy table or
+// the snapshot to stdout and usage errors to stderr, and returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lscatter-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		techStr  = fs.String("tech", "wifi", "technology: lte, wifi, lora")
+		venueStr = fs.String("venue", "home", "venue: home, office, classroom, mall, outdoor")
+		hours    = fs.Int("hours", 24, "hours of occupancy to sample")
+		spect    = fs.Bool("spectrogram", false, "synthesize a 20 ms IQ snapshot and report measured occupancy")
+		seed     = fs.Uint64("seed", 1, "random seed")
+	)
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected arguments: %v\n", fs.Args())
+		return 2
+	}
+	if *hours < 1 {
+		fmt.Fprintf(stderr, "-hours must be >= 1, got %d\n", *hours)
+		return 2
+	}
 	tech, err := techFlag(*techStr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	venue, err := venueFlag(*venueStr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	if *spect {
@@ -69,13 +91,13 @@ func main() {
 		default:
 			occ = 1.0 // LTE: continuous by construction
 		}
-		fmt.Printf("%s snapshot: measured frame occupancy %.2f\n", tech, occ)
-		return
+		fmt.Fprintf(stdout, "%s snapshot: measured frame occupancy %.2f\n", tech, occ)
+		return 0
 	}
 
 	m := traffic.NewModel(tech, venue, *seed)
-	fmt.Printf("%s occupancy at %s over %d hours:\n", tech, venue, *hours)
-	fmt.Println("hour  mean   p10    p90")
+	fmt.Fprintf(stdout, "%s occupancy at %s over %d hours:\n", tech, venue, *hours)
+	fmt.Fprintln(stdout, "hour  mean   p10    p90")
 	var all []float64
 	for h := 0; h < *hours; h++ {
 		var xs []float64
@@ -83,7 +105,8 @@ func main() {
 			xs = append(xs, m.Sample(float64(h)+float64(i)/30))
 		}
 		all = append(all, xs...)
-		fmt.Printf("%4d  %.3f  %.3f  %.3f\n", h, stats.Mean(xs), stats.Percentile(xs, 10), stats.Percentile(xs, 90))
+		fmt.Fprintf(stdout, "%4d  %.3f  %.3f  %.3f\n", h, stats.Mean(xs), stats.Percentile(xs, 10), stats.Percentile(xs, 90))
 	}
-	fmt.Printf("overall mean %.3f\n", stats.Mean(all))
+	fmt.Fprintf(stdout, "overall mean %.3f\n", stats.Mean(all))
+	return 0
 }

@@ -1,11 +1,10 @@
-// Package baseline implements the three comparison systems of the paper's
-// evaluation: a FreeRider-style ambient WiFi backscatter (symbol-level
-// codeword translation on bursty 2.4 GHz traffic), a PLoRa-style ambient
-// LoRa backscatter (gated on sparse LoRa duty cycles), and a symbol-level
-// LTE backscatter (the paper's own strawman: LScatter's link with one bit
-// embedded per two LTE symbols).
+// Package baseline implements the two comparison systems the paper's
+// distance figures plot against LScatter: a FreeRider-style ambient WiFi
+// backscatter (symbol-level codeword translation on bursty 2.4 GHz traffic)
+// and a symbol-level LTE backscatter (the paper's own strawman: LScatter's
+// link with one bit embedded per two LTE symbols).
 //
-// All three share the channel package's link-budget machinery so that the
+// Both share the channel package's link-budget machinery so that the
 // distance figures compare systems over identical geometry, differing only
 // in carrier frequency, excitation availability and modulation granularity.
 package baseline
@@ -14,7 +13,6 @@ import (
 	"math"
 
 	"lscatter/internal/channel"
-	"lscatter/internal/ltephy"
 	"lscatter/internal/rng"
 	"lscatter/internal/stats"
 )
@@ -196,56 +194,4 @@ func (s SymbolLevelLTE) Evaluate() Report {
 	rep.BER = riceanBER(r, gamma, s.LoS, 2000)
 	rep.ThroughputBps = symbolLevelRate * packetSuccess(rep.BER)
 	return rep
-}
-
-// LoRaBackscatter models PLoRa: chirp-shift backscatter on ambient LoRa
-// uplinks. Its raw rate is low and, decisively, the excitation is almost
-// never on the air (occupancy ~0.02), which is why the paper reports zero
-// LoRa-backscatter throughput at every site.
-type LoRaBackscatter struct {
-	// GatewayToTagM, TagToRxM in meters.
-	GatewayToTagM, TagToRxM float64
-	// TxPowerDBm of the LoRa transmitter (14 dBm typical).
-	TxPowerDBm float64
-	// Exponent is the venue path-loss exponent.
-	Exponent float64
-	// Seed for fading.
-	Seed uint64
-}
-
-// DefaultLoRaBackscatter returns the smart-home LoRa baseline.
-func DefaultLoRaBackscatter() LoRaBackscatter {
-	return LoRaBackscatter{
-		GatewayToTagM: channel.FeetToMeters(3),
-		TagToRxM:      channel.FeetToMeters(3),
-		TxPowerDBm:    14,
-		Exponent:      2.2,
-		Seed:          1,
-	}
-}
-
-// loraRawRate is PLoRa's in-frame backscatter rate.
-const loraRawRate = 1e3 // ~1 kbps
-
-// Evaluate computes the LoRa baseline for a window with the given LoRa
-// occupancy. The detection duty cycle multiplies straight into goodput; in
-// the paper's sites the result rounds to zero.
-func (l LoRaBackscatter) Evaluate(occupancy float64) Report {
-	r := rng.New(l.Seed)
-	pl := channel.PathLoss{FreqHz: 915e6, Exponent: l.Exponent}
-	scatDBm := l.TxPowerDBm - pl.LossDB(l.GatewayToTagM) - 4 - pl.LossDB(l.TagToRxM) - 3.92
-	n0 := channel.NoiseFloorW(1, 7)
-	eb := channel.DBmToWatts(scatDBm) * 1e-3 // 1 ms per bit (chirp spreading)
-	gamma := eb / n0
-	rep := Report{Linked: true}
-	rep.BER = riceanBER(r, gamma, true, 1000)
-	rep.ThroughputBps = occupancy * loraRawRate * (1 - rep.BER)
-	return rep
-}
-
-// LScatterRawRate re-exports the LScatter raw rate for side-by-side tables.
-func LScatterRawRate(bw ltephy.Bandwidth) float64 {
-	perSym := float64(bw.Subcarriers())
-	symbols := 10.0*12 - 4 - 2
-	return perSym * symbols / (ltephy.SubframesPerFrame * ltephy.SubframeDuration)
 }

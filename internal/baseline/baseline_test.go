@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lscatter/internal/channel"
+	"lscatter/internal/core"
 	"lscatter/internal/ltephy"
 )
 
@@ -66,7 +67,7 @@ func TestSymbolLevelRateIsThreeOrdersBelowLScatter(t *testing.T) {
 	if rep.ThroughputBps < 5e3 || rep.ThroughputBps > 8e3 {
 		t.Fatalf("symbol-level LTE rate = %v, want ~7 kbps", rep.ThroughputBps)
 	}
-	ratio := LScatterRawRate(ltephy.BW20) / rep.ThroughputBps
+	ratio := core.RawBackscatterRate(ltephy.BW20) / rep.ThroughputBps
 	if ratio < 1000 || ratio > 3000 {
 		t.Fatalf("LScatter/symbol-level ratio = %v, want ~2000 (3 orders)", ratio)
 	}
@@ -85,14 +86,6 @@ func TestSymbolLevelOutrangesWiFi(t *testing.T) {
 	wt := w.Evaluate(0.5, 0.8).ThroughputBps
 	if st <= wt {
 		t.Fatalf("at 160 ft symbol-level LTE %v <= WiFi %v", st, wt)
-	}
-}
-
-func TestLoRaEffectivelyZero(t *testing.T) {
-	l := DefaultLoRaBackscatter()
-	rep := l.Evaluate(0.02)
-	if rep.ThroughputBps > 50 {
-		t.Fatalf("LoRa backscatter = %v bps, paper reports ~0", rep.ThroughputBps)
 	}
 }
 

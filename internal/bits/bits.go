@@ -38,18 +38,6 @@ func Unpack(p []byte, n int) []byte {
 	return out
 }
 
-// Xor returns a XOR b element-wise into a fresh slice. Lengths must match.
-func Xor(a, b []byte) []byte {
-	if len(a) != len(b) {
-		panic("bits: Xor length mismatch")
-	}
-	out := make([]byte, len(a))
-	for i := range a {
-		out[i] = a[i] ^ b[i]
-	}
-	return out
-}
-
 // CountDiff returns the Hamming distance between two equal-length bit slices.
 func CountDiff(a, b []byte) int {
 	if len(a) != len(b) {
@@ -68,35 +56,6 @@ func CountDiff(a, b []byte) int {
 // slice, returning 16 CRC bits MSB first. This is LTE's CRC16 used for small
 // transport blocks.
 func CRC16(b []byte) []byte { return crcBits(b, 0x1021, 16) }
-
-// CRC32 computes the IEEE 802 CRC-32 (polynomial 0x04C11DB7, init 0) over a
-// bit slice, returning 32 CRC bits MSB first. The 802.11 FCS uses this
-// polynomial (with inversions this simplified form omits — both ends here
-// use the same convention, which preserves all error-detection properties).
-func CRC32(b []byte) []byte { return crcBits(b, 0x04C11DB7, 32) }
-
-// AttachCRC32 returns b with its CRC32 appended.
-func AttachCRC32(b []byte) []byte { return append(append([]byte(nil), b...), CRC32(b)...) }
-
-// CheckCRC32 verifies a bit slice with trailing CRC32.
-func CheckCRC32(b []byte) (payload []byte, ok bool) {
-	if len(b) < 32 {
-		return nil, false
-	}
-	payload = b[:len(b)-32]
-	want := CRC32(payload)
-	got := b[len(b)-32:]
-	for i := range want {
-		if want[i] != got[i] {
-			return payload, false
-		}
-	}
-	return payload, true
-}
-
-// CRC24A computes LTE's CRC24A (polynomial 0x864CFB) over a bit slice,
-// returning 24 CRC bits MSB first.
-func CRC24A(b []byte) []byte { return crcBits(b, 0x864CFB, 24) }
 
 func crcBits(b []byte, poly uint32, width uint) []byte {
 	var reg uint32

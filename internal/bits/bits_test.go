@@ -44,16 +44,9 @@ func TestUnpackBoundsPanic(t *testing.T) {
 	Unpack([]byte{0xff}, 9)
 }
 
-func TestXorAndCountDiff(t *testing.T) {
+func TestCountDiff(t *testing.T) {
 	a := []byte{1, 0, 1, 0}
 	b := []byte{1, 1, 0, 0}
-	x := Xor(a, b)
-	want := []byte{0, 1, 1, 0}
-	for i := range want {
-		if x[i] != want[i] {
-			t.Fatalf("Xor = %v, want %v", x, want)
-		}
-	}
 	if d := CountDiff(a, b); d != 2 {
 		t.Fatalf("CountDiff = %d, want 2", d)
 	}
@@ -98,27 +91,6 @@ func TestCRC16DetectsBurstErrors(t *testing.T) {
 func TestCheckCRC16ShortInput(t *testing.T) {
 	if _, ok := CheckCRC16(make([]byte, 10)); ok {
 		t.Fatal("CheckCRC16 accepted input shorter than CRC")
-	}
-}
-
-func TestCRC24ALength(t *testing.T) {
-	c := CRC24A([]byte{1, 0, 1})
-	if len(c) != 24 {
-		t.Fatalf("CRC24A length %d", len(c))
-	}
-}
-
-func TestCRC24ADetectsErrors(t *testing.T) {
-	r := rng.New(5)
-	msg := r.Bits(make([]byte, 64))
-	crc := CRC24A(msg)
-	for i := 0; i < len(msg); i++ {
-		bad := append([]byte(nil), msg...)
-		bad[i] ^= 1
-		got := CRC24A(bad)
-		if CountDiff(got, crc) == 0 {
-			t.Fatalf("CRC24A unchanged by flip at %d", i)
-		}
 	}
 }
 

@@ -37,23 +37,6 @@ func DBmToWatts(dbm float64) float64 {
 	return math.Pow(10, (dbm-30)/10)
 }
 
-// WattsToDBm converts watts to dBm. Non-positive power maps to -Inf dBm
-// (no power, or numerical underflow of a deep fade). It panics on NaN and on
-// negative inputs beyond a tolerance: a power below -1e-15 W cannot come
-// from rounding and indicates a broken link-budget computation upstream.
-func WattsToDBm(w float64) float64 {
-	if math.IsNaN(w) {
-		panic("channel: WattsToDBm(NaN)")
-	}
-	if w < -1e-15 {
-		panic(fmt.Sprintf("channel: WattsToDBm of negative power %v W", w))
-	}
-	if w <= 0 {
-		return math.Inf(-1)
-	}
-	return 10*math.Log10(w) + 30
-}
-
 // PathLoss is a log-distance path-loss model anchored at the free-space loss
 // of a 1 m reference distance:
 //
@@ -83,11 +66,6 @@ func (pl PathLoss) LossDB(d float64) float64 {
 	}
 	fspl1m := 20 * math.Log10(4*math.Pi*pl.FreqHz/SpeedOfLight)
 	return fspl1m + 10*pl.Exponent*math.Log10(d)
-}
-
-// Gain returns the linear amplitude gain (sqrt of power gain) at distance d.
-func (pl PathLoss) Gain(d float64) float64 {
-	return math.Pow(10, -pl.LossDB(d)/20)
 }
 
 // NoiseFloorW returns the thermal noise power in watts over the given
@@ -363,17 +341,4 @@ func Combine(r *rng.Source, noisePowerW float64, paths ...[]complex128) []comple
 		dsp.Add(out, p)
 	}
 	return AWGN(r, out, noisePowerW)
-}
-
-// SNRdB computes the mean SNR in dB of signal power sigP (watts) against
-// noise power noiseP. NaN inputs panic (see WattsToDBm); zero or negative
-// noise yields +Inf.
-func SNRdB(sigP, noiseP float64) float64 {
-	if math.IsNaN(sigP) || math.IsNaN(noiseP) {
-		panic("channel: SNRdB with NaN power")
-	}
-	if noiseP <= 0 {
-		return math.Inf(1)
-	}
-	return 10 * math.Log10(sigP/noiseP)
 }

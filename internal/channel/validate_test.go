@@ -27,15 +27,6 @@ func TestPowerConversionEdgeCases(t *testing.T) {
 		{"DBmToWatts(-Inf)", func() float64 { return DBmToWatts(-inf) }, 0, false},
 		{"DBmToWatts(+Inf)", func() float64 { return DBmToWatts(inf) }, inf, false},
 		{"DBmToWatts(NaN)", func() float64 { return DBmToWatts(math.NaN()) }, 0, true},
-		{"WattsToDBm(1e-3)", func() float64 { return WattsToDBm(1e-3) }, 0, false},
-		{"WattsToDBm(0)", func() float64 { return WattsToDBm(0) }, -inf, false},
-		{"WattsToDBm(-1e-18)", func() float64 { return WattsToDBm(-1e-18) }, -inf, false},
-		{"WattsToDBm(+Inf)", func() float64 { return WattsToDBm(inf) }, inf, false},
-		{"WattsToDBm(-1)", func() float64 { return WattsToDBm(-1) }, 0, true},
-		{"WattsToDBm(NaN)", func() float64 { return WattsToDBm(math.NaN()) }, 0, true},
-		{"SNRdB(NaN, 1)", func() float64 { return SNRdB(math.NaN(), 1) }, 0, true},
-		{"SNRdB(1, NaN)", func() float64 { return SNRdB(1, math.NaN()) }, 0, true},
-		{"SNRdB(1, 0)", func() float64 { return SNRdB(1, 0) }, inf, false},
 		{"NoiseFloorW(0, 7)", func() float64 { return NoiseFloorW(0, 7) }, 0, true},
 		{"NoiseFloorW(-1e6, 7)", func() float64 { return NoiseFloorW(-1e6, 7) }, 0, true},
 		{"NoiseFloorW(+Inf, 7)", func() float64 { return NoiseFloorW(inf, 7) }, 0, true},

@@ -3,10 +3,11 @@ package dsp
 // Fast cross-correlation engine. The direct O(N*M) form in CrossCorrelate is
 // kept as the reference implementation; this file provides the production
 // path, CorrelatorBank: FFT overlap-save with cached plans and precomputed
-// reference spectra over one stream and one or more references, so a cell
-// search transforms the sample stream once per block and reuses the stream
-// spectrum for every reference, and a benchmark-chosen crossover below which
-// the direct form still wins. A single reference is a one-reference bank.
+// reference spectra over one stream and one or more references, so the
+// scatter demodulator's preamble search transforms the metric stream once per
+// block and reuses the stream spectrum for every tag's preamble, and a
+// benchmark-chosen crossover below which the direct form still wins. A single
+// reference is a one-reference bank.
 //
 // Overlap-save block math: for a reference of length M the engine picks a
 // power-of-two block L >= overlapSaveFactor*M and precomputes
@@ -19,9 +20,7 @@ package dsp
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
-	"math/cmplx"
 	"sync"
 )
 
@@ -120,29 +119,18 @@ func directCorrelate(dst, x, ref []complex128) {
 	}
 }
 
-// CorrPeak is one reference's best normalized match inside a stream.
-type CorrPeak struct {
-	// Lag is the stream offset of the peak.
-	Lag int
-	// Peak is the normalized correlation magnitude at the peak (0..1).
-	Peak float64
-}
-
 // CorrelatorBank correlates one stream against one or more equal-length
 // references at once, by FFT overlap-save above the crossover and the direct
 // form below it. The batch win over one bank per reference is that each
 // overlap-save block of the stream is transformed a single time and the
-// stream spectrum is shared across all references — for the three PSS roots
-// of a cell search that removes two of the three forward FFT passes — and
-// the segment-energy normalization sweep is likewise shared. The reference
-// spectra and plan are computed once at construction, so repeated calls
+// stream spectrum is shared across all references (one per tag preamble in
+// the scatter demodulator's sync search). The reference spectra and plan are computed once at construction, so repeated calls
 // against new streams do no per-call setup. A bank is safe for concurrent
 // use: all retained state is read-only after construction and scratch comes
 // from the pool.
 type CorrelatorBank struct {
 	m     int
 	refs  [][]complex128
-	refE  []float64
 	block int
 	step  int
 	plan  *Plan
@@ -160,7 +148,6 @@ func NewCorrelatorBank(refs [][]complex128) *CorrelatorBank {
 	b := &CorrelatorBank{
 		m:     m,
 		refs:  make([][]complex128, len(refs)),
-		refE:  make([]float64, len(refs)),
 		block: ceilPow2(overlapSaveFactor * m),
 		specs: make([][]complex128, len(refs)),
 	}
@@ -171,7 +158,6 @@ func NewCorrelatorBank(refs [][]complex128) *CorrelatorBank {
 			panic(fmt.Sprintf("dsp: NewCorrelatorBank reference %d has length %d, want %d", i, len(ref), m))
 		}
 		b.refs[i] = append([]complex128(nil), ref...)
-		b.refE[i] = Energy(ref)
 		b.specs[i] = refSpectrum(b.plan, b.block, ref)
 	}
 	return b
@@ -179,9 +165,6 @@ func NewCorrelatorBank(refs [][]complex128) *CorrelatorBank {
 
 // RefLen returns the shared reference length M.
 func (b *CorrelatorBank) RefLen() int { return b.m }
-
-// Size returns the number of references in the bank.
-func (b *CorrelatorBank) Size() int { return len(b.refs) }
 
 // CorrelateAll correlates x against every reference. dst (or a fresh slice
 // per reference when dst is nil or too short) receives one correlation
@@ -249,56 +232,4 @@ func (b *CorrelatorBank) correlateFFT(dst [][]complex128, x []complex128) {
 			copy(dst[r][pos:pos+cnt], work[:cnt])
 		}
 	}
-}
-
-// NormalizedPeaks returns the best normalized match of every reference
-// inside x, sharing one segment-energy sweep across the bank. Peaks are
-// computed with the exact normalization of NormalizedCorrPeak; a stream
-// shorter than the references yields zero peaks.
-func (b *CorrelatorBank) NormalizedPeaks(x []complex128) []CorrPeak {
-	peaks := make([]CorrPeak, len(b.refs))
-	nOut := len(x) - b.m + 1
-	if nOut <= 0 {
-		return peaks
-	}
-	bufs := make([]*[]complex128, len(b.refs))
-	corrs := make([][]complex128, len(b.refs))
-	for i := range bufs {
-		bufs[i] = AcquireBuf(nOut)
-		corrs[i] = *bufs[i]
-		defer ReleaseBuf(bufs[i])
-	}
-	b.CorrelateAll(corrs, x)
-	// One segment-energy sweep shared by every reference. The recurrence and
-	// per-lag normalization are exactly those of NormalizedCorrPeak, so each
-	// reference's (lag, peak) matches an independent call bit for bit.
-	best := make([]float64, len(b.refs))
-	for r := range best {
-		best[r] = -1
-	}
-	segE := Energy(x[:b.m])
-	for l := 0; l < nOut; l++ {
-		if l > 0 {
-			out := x[l-1]
-			in := x[l+b.m-1]
-			segE += real(in)*real(in) + imag(in)*imag(in) - real(out)*real(out) - imag(out)*imag(out)
-		}
-		for r := range b.refs {
-			den := math.Sqrt(segE * b.refE[r])
-			if den <= 0 {
-				continue
-			}
-			v := cmplx.Abs(corrs[r][l]) / den
-			if v > best[r] {
-				best[r] = v
-				peaks[r] = CorrPeak{Lag: l, Peak: v}
-			}
-		}
-	}
-	for r := range peaks {
-		if best[r] < 0 {
-			peaks[r] = CorrPeak{}
-		}
-	}
-	return peaks
 }

@@ -54,38 +54,6 @@ func assertCorrEquiv(t *testing.T, got, want []complex128, relTol float64) {
 	}
 }
 
-// directNormalizedPeak is the reference normalized peak: the direct
-// correlation scanned with the running segment-energy recurrence the bank
-// uses.
-func directNormalizedPeak(x, ref []complex128) (int, float64) {
-	corr := CrossCorrelate(x, ref)
-	refE := Energy(ref)
-	if corr == nil || refE == 0 {
-		return 0, 0
-	}
-	m := len(ref)
-	segE := Energy(x[:m])
-	best, bestVal := 0, -1.0
-	for l := range corr {
-		if l > 0 {
-			out := x[l-1]
-			in := x[l+m-1]
-			segE += real(in)*real(in) + imag(in)*imag(in) - real(out)*real(out) - imag(out)*imag(out)
-		}
-		den := math.Sqrt(segE * refE)
-		if den <= 0 {
-			continue
-		}
-		if v := cmplx.Abs(corr[l]) / den; v > bestVal {
-			best, bestVal = l, v
-		}
-	}
-	if bestVal < 0 {
-		return 0, 0
-	}
-	return best, bestVal
-}
-
 // oneRef builds the one-reference bank that serves single-reference callers.
 func oneRef(ref []complex128) *CorrelatorBank {
 	return NewCorrelatorBank([][]complex128{ref})
@@ -127,12 +95,6 @@ func TestCorrelatorMatchesDirect(t *testing.T) {
 
 func TestCorrelatorDegenerate(t *testing.T) {
 	x := randIQ(rand.New(rand.NewSource(2)), 32)
-	if lag, peak := NormalizedCorrPeak(x, nil); lag != 0 || peak != 0 {
-		t.Fatalf("NormalizedCorrPeak with empty ref: got (%d, %g), want zero", lag, peak)
-	}
-	if lag, peak := NormalizedCorrPeak(x[:4], x); lag != 0 || peak != 0 {
-		t.Fatalf("NormalizedCorrPeak with short stream: got (%d, %g), want zero", lag, peak)
-	}
 	if got := oneRef(x).CorrelateAll(nil, x[:4]); got[0] != nil {
 		t.Fatalf("one-reference bank with short stream: got %v, want nil", got[0])
 	}
@@ -144,30 +106,6 @@ func TestCorrelatorDegenerate(t *testing.T) {
 	oneRef(nil)
 }
 
-func TestCorrelatorNormalizedPeak(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, tc := range corrSizes {
-		t.Run(tc.name, func(t *testing.T) {
-			x := randIQ(rng, tc.n)
-			ref := randIQ(rng, tc.m)
-			// Plant the reference at a known offset so the peak is sharp.
-			off := (tc.n - tc.m) / 2
-			copy(x[off:], ref)
-			wantLag, wantPeak := directNormalizedPeak(x, ref)
-			if wantLag != off {
-				t.Fatalf("planted reference not found by reference impl: lag %d, want %d", wantLag, off)
-			}
-			gotLag, gotPeak := NormalizedCorrPeak(x, ref)
-			if gotLag != wantLag {
-				t.Fatalf("peak lag: got %d, want %d", gotLag, wantLag)
-			}
-			if math.Abs(gotPeak-wantPeak) > 1e-9 {
-				t.Fatalf("peak value: got %.15g, want %.15g", gotPeak, wantPeak)
-			}
-		})
-	}
-}
-
 func TestCorrelatorBankMatchesIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, m := range []int{32, 256, 2048} {
@@ -176,24 +114,18 @@ func TestCorrelatorBankMatchesIndependent(t *testing.T) {
 		refs := [][]complex128{randIQ(rng, m), randIQ(rng, m), randIQ(rng, m)}
 		copy(x[2*m:], refs[1]) // plant root 1 so peaks are meaningful
 		b := NewCorrelatorBank(refs)
-		if b.Size() != 3 || b.RefLen() != m {
-			t.Fatalf("bank shape: size %d len %d", b.Size(), b.RefLen())
+		if b.RefLen() != m {
+			t.Fatalf("bank reference length %d, want %d", b.RefLen(), m)
 		}
 		all := b.CorrelateAll(nil, x)
-		peaks := b.NormalizedPeaks(x)
-		for r, ref := range refs {
-			want := CrossCorrelate(x, ref)
-			assertCorrEquiv(t, all[r], want, 1e-9)
-			wantLag, wantPeak := directNormalizedPeak(x, ref)
-			if peaks[r].Lag != wantLag {
-				t.Fatalf("m=%d root %d: bank lag %d, independent %d", m, r, peaks[r].Lag, wantLag)
-			}
-			if math.Abs(peaks[r].Peak-wantPeak) > 1e-9 {
-				t.Fatalf("m=%d root %d: bank peak %.15g, independent %.15g", m, r, peaks[r].Peak, wantPeak)
-			}
+		if len(all) != len(refs) {
+			t.Fatalf("m=%d: %d correlation vectors, want %d", m, len(all), len(refs))
 		}
-		if peaks[1].Lag != 2*m {
-			t.Fatalf("m=%d: planted root found at %d, want %d", m, peaks[1].Lag, 2*m)
+		for r, ref := range refs {
+			assertCorrEquiv(t, all[r], CrossCorrelate(x, ref), 1e-9)
+		}
+		if lag, _ := MaxAbsIndex(all[1]); lag != 2*m {
+			t.Fatalf("m=%d: planted root found at %d, want %d", m, lag, 2*m)
 		}
 	}
 }
@@ -205,11 +137,6 @@ func TestCorrelatorBankDegenerate(t *testing.T) {
 	for _, v := range b.CorrelateAll(nil, short) {
 		if v != nil {
 			t.Fatal("CorrelateAll on short stream must yield nil vectors")
-		}
-	}
-	for _, p := range b.NormalizedPeaks(short) {
-		if p.Lag != 0 || p.Peak != 0 {
-			t.Fatalf("NormalizedPeaks on short stream: got %+v, want zero", p)
 		}
 	}
 	defer func() {
@@ -237,12 +164,11 @@ func TestAcquireReleaseBuf(t *testing.T) {
 func TestFFTShiftInto(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 8, 255} {
 		x := randIQ(rand.New(rand.NewSource(int64(n))), n)
-		want := FFTShift(x)
-		dst := make([]complex128, n)
-		got := FFTShiftInto(dst, x)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d bin %d: got %v, want %v", n, i, got[i], want[i])
+		got := FFTShiftInto(make([]complex128, n), x)
+		// Output bin i holds input bin (i + ceil(n/2)) mod n.
+		for i := range got {
+			if want := x[(i+(n+1)/2)%n]; got[i] != want {
+				t.Fatalf("n=%d bin %d: got %v, want %v", n, i, got[i], want)
 			}
 		}
 	}
@@ -274,9 +200,8 @@ func bytesToIQ(data []byte) []complex128 {
 
 // FuzzCorrelatorEquivalence pins the bank's FFT overlap-save path to the direct
 // reference implementation on arbitrary IQ streams and reference lengths:
-// per-lag agreement within 1e-9 of the peak magnitude, and agreement of both
-// the correlation argmax and the normalized peak (lag and value) up to
-// genuine floating-point ties.
+// per-lag agreement within 1e-9 of the peak magnitude, and agreement of the
+// correlation argmax up to genuine floating-point ties.
 func FuzzCorrelatorEquivalence(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	long := make([]byte, 2048)
@@ -299,15 +224,6 @@ func FuzzCorrelatorEquivalence(f *testing.F) {
 		want := CrossCorrelate(x, ref)
 		got := oneRef(ref).CorrelateAll(nil, x)[0]
 		assertCorrEquiv(t, got, want, 1e-9)
-
-		wantLag, wantPeak := directNormalizedPeak(x, ref)
-		gotLag, gotPeak := NormalizedCorrPeak(x, ref)
-		if math.Abs(gotPeak-wantPeak) > 1e-9 {
-			t.Fatalf("normalized peak: got %.15g, want %.15g", gotPeak, wantPeak)
-		}
-		if gotLag != wantLag && math.Abs(gotPeak-wantPeak) > 1e-12 {
-			t.Fatalf("normalized peak lag: got %d (%.15g), want %d (%.15g)", gotLag, gotPeak, wantLag, wantPeak)
-		}
 	})
 }
 
@@ -356,20 +272,20 @@ func BenchmarkCorrelateFFT(b *testing.B) {
 	}
 }
 
-// BenchmarkCorrelateBank measures the three-reference batch mode at the
-// cell-search reference length.
+// BenchmarkCorrelateBank measures the three-reference batch mode with
+// 2048-sample references.
 func BenchmarkCorrelateBank(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	x := randIQ(rng, benchStreamLen)
 	refs := [][]complex128{randIQ(rng, 2048), randIQ(rng, 2048), randIQ(rng, 2048)}
 	bank := NewCorrelatorBank(refs)
+	var dst [][]complex128
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		peaksSink = bank.NormalizedPeaks(x)
+		dst = bank.CorrelateAll(dst, x)
 	}
+	corrSink = dst[0]
 }
-
-var peaksSink []CorrPeak
 
 // itoa avoids importing strconv just for benchmark names.
 func itoa(n int) string {

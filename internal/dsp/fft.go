@@ -133,9 +133,6 @@ func bitReversePerm(n int) []int {
 	return perm
 }
 
-// Size returns the transform length.
-func (p *Plan) Size() int { return p.n }
-
 // Forward computes the unnormalized DFT of src into dst:
 // dst[k] = sum_n src[n] * exp(-2*pi*i*n*k/N). dst and src must both have
 // length N; dst may alias src.
@@ -374,23 +371,11 @@ func FFT(x []complex128) []complex128 {
 	return dst
 }
 
-// IFFT returns the normalized inverse DFT of x in a fresh slice.
-func IFFT(x []complex128) []complex128 {
-	dst := make([]complex128, len(x))
-	PlanFor(len(x)).Inverse(dst, x)
-	return dst
-}
-
-// FFTShift reorders a spectrum so the zero-frequency bin moves to the center,
-// returning a fresh slice. For odd lengths the extra bin stays on the left of
-// center, matching the usual fftshift convention.
-func FFTShift(x []complex128) []complex128 {
-	return FFTShiftInto(make([]complex128, len(x)), x)
-}
-
-// FFTShiftInto is FFTShift writing into dst, which must have the length of x
-// and must not alias it. It returns dst so per-frame loops (the STFT) can
-// reuse one buffer.
+// FFTShiftInto reorders the spectrum x into dst so the zero-frequency bin
+// moves to the center. For odd lengths the extra bin stays on the left of
+// center, matching the usual fftshift convention. dst must have the length
+// of x and must not alias it. It returns dst so per-frame loops (the STFT)
+// can reuse one buffer.
 func FFTShiftInto(dst, x []complex128) []complex128 {
 	n := len(x)
 	if len(dst) != n {

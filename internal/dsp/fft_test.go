@@ -68,13 +68,20 @@ func TestBluesteinMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
+// inverse is the normalized inverse DFT of x in a fresh slice.
+func inverse(x []complex128) []complex128 {
+	dst := make([]complex128, len(x))
+	PlanFor(len(x)).Inverse(dst, x)
+	return dst
+}
+
 func TestIFFTInvertsFFT(t *testing.T) {
 	r := rng.New(3)
 	for _, n := range []int{1, 2, 8, 64, 100, 1536, 2048} {
 		x := randomVector(r, n)
-		round := IFFT(FFT(x))
+		round := inverse(FFT(x))
 		if e := maxErr(round, x); e > 1e-8*float64(n) {
-			t.Errorf("size %d: IFFT(FFT(x)) differs from x by %v", n, e)
+			t.Errorf("size %d: Inverse(Forward(x)) differs from x by %v", n, e)
 		}
 	}
 }
@@ -85,7 +92,7 @@ func TestFFTRoundTripProperty(t *testing.T) {
 		sizes := []int{4, 12, 33, 64, 120, 128}
 		n := sizes[r.Intn(len(sizes))]
 		x := randomVector(r, n)
-		return maxErr(IFFT(FFT(x)), x) < 1e-7
+		return maxErr(inverse(FFT(x)), x) < 1e-7
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -196,20 +203,20 @@ func TestNewPlanRejectsZero(t *testing.T) {
 func TestFFTShiftEven(t *testing.T) {
 	x := []complex128{0, 1, 2, 3}
 	want := []complex128{2, 3, 0, 1}
-	got := FFTShift(x)
+	got := FFTShiftInto(make([]complex128, len(x)), x)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("FFTShift = %v, want %v", got, want)
+			t.Fatalf("FFTShiftInto = %v, want %v", got, want)
 		}
 	}
 }
 
 func TestFFTShiftOdd(t *testing.T) {
 	x := []complex128{0, 1, 2, 3, 4}
-	got := FFTShift(x)
+	got := FFTShiftInto(make([]complex128, len(x)), x)
 	// DC (index 0) must land at the center position.
 	if got[2] != 0 {
-		t.Fatalf("FFTShift odd: DC at wrong place: %v", got)
+		t.Fatalf("FFTShiftInto odd: DC at wrong place: %v", got)
 	}
 }
 

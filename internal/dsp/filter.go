@@ -121,34 +121,6 @@ func (f *FIR) ProcessInto(dst, x []complex128) []complex128 {
 	return dst
 }
 
-// Decimate low-pass-filters x (anti-aliasing at sampleRate/(2*factor)*0.8)
-// and keeps every factor-th sample, compensating the filter group delay so
-// output sample k corresponds to input sample k*factor.
-func Decimate(x []complex128, factor int, sampleRate float64) []complex128 {
-	if factor < 1 {
-		panic("dsp: Decimate factor < 1")
-	}
-	if factor == 1 {
-		return append([]complex128(nil), x...)
-	}
-	fir := LowPassFIR(0.8*sampleRate/(2*float64(factor)), sampleRate, 63)
-	delay := fir.GroupDelay()
-	out := make([]complex128, 0, len(x)/factor+1)
-	// Feed the block plus `delay` zeros so the delayed response is flushed.
-	for i := 0; i < len(x)+delay; i++ {
-		var v complex128
-		if i < len(x) {
-			v = x[i]
-		}
-		y := fir.ProcessSample(v)
-		j := i - delay
-		if j >= 0 && j%factor == 0 {
-			out = append(out, y)
-		}
-	}
-	return out
-}
-
 // RC models a single-pole RC low-pass filter (the tag's envelope smoothing
 // and averaging stages) over real-valued samples, discretized with the exact
 // zero-order-hold step alpha = 1 - exp(-dt/tau).
@@ -173,38 +145,8 @@ func (rc *RC) ProcessSample(x float64) float64 {
 	return rc.y
 }
 
-// Output returns the current capacitor voltage without advancing.
-func (rc *RC) Output() float64 { return rc.y }
-
 // Reset discharges the capacitor.
 func (rc *RC) Reset() { rc.y = 0 }
-
-// PeakRC models the diode-RC envelope detector: it charges instantly on
-// rising input (ideal diode) and discharges through R1*C2 otherwise. This is
-// the first stage of the paper's synchronization circuit (Figure 7).
-type PeakRC struct {
-	alpha float64
-	y     float64
-}
-
-// NewPeakRC builds a peak detector with discharge time constant tau seconds
-// at the given sample rate.
-func NewPeakRC(tau, sampleRate float64) *PeakRC {
-	if tau <= 0 || sampleRate <= 0 {
-		panic("dsp: PeakRC requires positive tau and sample rate")
-	}
-	return &PeakRC{alpha: 1 - math.Exp(-1/(tau*sampleRate))}
-}
-
-// ProcessSample advances the detector with the instantaneous input magnitude.
-func (p *PeakRC) ProcessSample(mag float64) float64 {
-	if mag > p.y {
-		p.y = mag // diode conducts: fast charge
-	} else {
-		p.y -= p.alpha * p.y // discharge through R
-	}
-	return p.y
-}
 
 // Comparator models a voltage comparator with hysteresis and a propagation
 // delay measured in samples (the paper uses a MAX931-class part with ~12 us

@@ -113,19 +113,6 @@ func CrossCorrelate(x, ref []complex128) []complex128 {
 	return out
 }
 
-// NormalizedCorrPeak returns the lag and the normalized correlation magnitude
-// (0..1) of the best match of ref inside x. The normalization divides by the
-// local segment energy so amplitude does not bias detection. It runs a
-// one-reference CorrelatorBank; callers that reuse one reference across
-// streams should hold the bank to skip the per-call reference-spectrum setup.
-func NormalizedCorrPeak(x, ref []complex128) (lag int, peak float64) {
-	if len(ref) == 0 {
-		return 0, 0
-	}
-	p := NewCorrelatorBank([][]complex128{ref}).NormalizedPeaks(x)[0]
-	return p.Lag, p.Peak
-}
-
 // Conj conjugates x in place and returns it.
 func Conj(x []complex128) []complex128 {
 	for i, v := range x {

@@ -6,10 +6,8 @@ import "math"
 type Window int
 
 const (
-	// Rectangular is the boxcar window.
-	Rectangular Window = iota
 	// Hann is the raised-cosine window.
-	Hann
+	Hann Window = iota
 	// Hamming is the Hamming window.
 	Hamming
 	// Blackman is the three-term Blackman window.

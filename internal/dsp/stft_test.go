@@ -6,7 +6,7 @@ import (
 )
 
 func TestWindowCoefficients(t *testing.T) {
-	for _, w := range []Window{Rectangular, Hann, Hamming, Blackman} {
+	for _, w := range []Window{Hann, Hamming, Blackman} {
 		c := w.Coefficients(64)
 		if len(c) != 64 {
 			t.Fatalf("window %d: %d coefficients", w, len(c))
@@ -58,7 +58,7 @@ func TestSTFTLocalizesTone(t *testing.T) {
 	const fs = 1e6
 	const freq = 250e3
 	x := tone(freq, fs, 4096)
-	s := STFT(x, 256, 256, Rectangular, fs)
+	s := STFT(x, 256, 256, Hann, fs)
 	// Peak bin after fftshift: center + freq/binHz
 	for ti, row := range s.PowerDB {
 		best, bestVal := 0, math.Inf(-1)
@@ -77,7 +77,7 @@ func TestSTFTLocalizesTone(t *testing.T) {
 func TestSTFTNegativeFrequencyPlacement(t *testing.T) {
 	const fs = 1e6
 	x := tone(-125e3, fs, 2048)
-	s := STFT(x, 256, 256, Rectangular, fs)
+	s := STFT(x, 256, 256, Hann, fs)
 	row := s.PowerDB[0]
 	best, bestVal := 0, math.Inf(-1)
 	for i, p := range row {
@@ -95,7 +95,7 @@ func TestOccupiedFraction(t *testing.T) {
 	const fs = 1e6
 	// Half the time a strong tone, half silence.
 	x := append(tone(100e3, fs, 1024), make([]complex128, 1024)...)
-	s := STFT(x, 128, 128, Rectangular, fs)
+	s := STFT(x, 128, 128, Hann, fs)
 	occ := s.OccupiedFraction(-60)
 	half := len(occ) / 2
 	for i := 0; i < half; i++ {

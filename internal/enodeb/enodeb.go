@@ -102,10 +102,6 @@ func New(cfg Config) *ENodeB {
 	return e
 }
 
-// Codec exposes the PDSCH codec so the UE can decode and regenerate the
-// downlink.
-func (e *ENodeB) Codec() *Codec { return e.codec }
-
 // Config returns the eNodeB configuration.
 func (e *ENodeB) Config() Config { return e.cfg }
 
@@ -157,20 +153,4 @@ func (e *ENodeB) Stream(n int) []*Subframe {
 		out[i] = e.NextSubframe()
 	}
 	return out
-}
-
-// InfoBitRate returns the nominal LTE information bit rate in bits/s for the
-// configured bandwidth and scheme (averaged over a 10-subframe frame).
-func (e *ENodeB) InfoBitRate() float64 {
-	total := 0
-	for sf := 0; sf < ltephy.SubframesPerFrame; sf++ {
-		g := ltephy.NewGrid(e.cfg.Params, sf)
-		g.MapSyncAndRef()
-		if sf == 0 {
-			g.MapPBCH(make([]complex128, len(ltephy.PBCHREs(e.cfg.Params))))
-		}
-		g.MapControl(make([]complex128, 2*g.K()))
-		total += e.codec.TransportBlockSize(g.DataCapacity())
-	}
-	return float64(total) / (ltephy.SubframesPerFrame * ltephy.SubframeDuration)
 }

@@ -171,32 +171,6 @@ func TestENodeBPayloadsVary(t *testing.T) {
 	}
 }
 
-func TestInfoBitRateReasonable(t *testing.T) {
-	// 20 MHz QPSK rate-1/2 should land in the 10-17 Mbps range; 64-QAM
-	// triples it. These bound the Fig 32 LTE-throughput axis.
-	cfg := DefaultConfig(ltephy.BW20)
-	qpsk := New(cfg).InfoBitRate()
-	if qpsk < 10e6 || qpsk > 17e6 {
-		t.Fatalf("20 MHz QPSK info rate = %v, want 10-17 Mbps", qpsk)
-	}
-	cfg.Scheme = modem.QAM64
-	qam := New(cfg).InfoBitRate()
-	if qam < 2.5*qpsk || qam > 3.5*qpsk {
-		t.Fatalf("64QAM rate %v not ~3x QPSK %v", qam, qpsk)
-	}
-}
-
-func TestInfoBitRateGrowsWithBandwidth(t *testing.T) {
-	prev := 0.0
-	for _, bw := range ltephy.Bandwidths {
-		r := New(DefaultConfig(bw)).InfoBitRate()
-		if r <= prev {
-			t.Fatalf("%v info rate %v not above previous %v", bw, r, prev)
-		}
-		prev = r
-	}
-}
-
 func BenchmarkNextSubframe1_4MHz(b *testing.B) {
 	e := New(DefaultConfig(ltephy.BW1_4))
 	b.ResetTimer()

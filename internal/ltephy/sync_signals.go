@@ -94,44 +94,3 @@ func SSS(nid1, nid2, subframe int) []float64 {
 	}
 	return d
 }
-
-// PSSTimeDomain returns one CP-free OFDM symbol of the PSS at the given
-// oversampling factor, unit average power over the active samples. The UE's
-// synchronizer correlates against this reference.
-func PSSTimeDomain(p Params) []complex128 {
-	n := p.BW.FFTSize() * p.Oversample
-	freq := make([]complex128, n)
-	seq := PSS(p.NID2())
-	placeCentered(freq, seq, n)
-	out := make([]complex128, n)
-	planInverse(out, freq)
-	// normalize to unit average power
-	var e float64
-	for _, v := range out {
-		e += real(v)*real(v) + imag(v)*imag(v)
-	}
-	if e > 0 {
-		g := complex(math.Sqrt(float64(n)/e), 0)
-		for i := range out {
-			out[i] *= g
-		}
-	}
-	return out
-}
-
-// placeCentered maps a centered sequence of even length L onto FFT bins of an
-// n-point spectrum: elements 0..L/2-1 to negative bins -L/2..-1 and elements
-// L/2..L-1 to positive bins 1..L/2 (DC skipped), matching the LTE PSS/SSS
-// mapping k = n - 31 around the carrier center.
-func placeCentered(freq []complex128, seq []complex128, n int) {
-	l := len(seq)
-	half := l / 2
-	for i := 0; i < half; i++ {
-		bin := i - half // negative
-		freq[(bin+n)%n] = seq[i]
-	}
-	for i := half; i < l; i++ {
-		bin := i - half + 1 // positive, skipping DC
-		freq[bin] = seq[i]
-	}
-}

@@ -108,7 +108,7 @@ func TestSSSPanicsOnBadSubframe(t *testing.T) {
 
 func TestPSSTimeDomainUnitPower(t *testing.T) {
 	p := DefaultParams(BW1_4)
-	ref := PSSTimeDomain(p)
+	ref := pssTimeDomain(p)
 	if len(ref) != p.BW.FFTSize()*p.Oversample {
 		t.Fatalf("PSS reference length %d", len(ref))
 	}
@@ -125,7 +125,7 @@ func TestPSSTimeDomainGoodAutocorrelation(t *testing.T) {
 	// The PSS is the UE's timing anchor: its aperiodic autocorrelation must
 	// have a dominant peak at zero lag.
 	p := DefaultParams(BW1_4)
-	ref := PSSTimeDomain(p)
+	ref := pssTimeDomain(p)
 	n := len(ref)
 	peak := 0.0
 	var worst float64
@@ -151,5 +151,46 @@ func TestPSSBandwidthConstant(t *testing.T) {
 	// channel bandwidth.
 	if math.Abs(PSSBandwidth-0.93e6) > 0.01e6 {
 		t.Fatalf("PSS bandwidth = %v, want ~0.93 MHz", PSSBandwidth)
+	}
+}
+
+// pssTimeDomain returns one CP-free OFDM symbol of the PSS at the given
+// oversampling factor, unit average power over the active samples: the
+// time-domain reference the PSS tests correlate against.
+func pssTimeDomain(p Params) []complex128 {
+	n := p.BW.FFTSize() * p.Oversample
+	freq := make([]complex128, n)
+	seq := PSS(p.NID2())
+	placeCentered(freq, seq, n)
+	out := make([]complex128, n)
+	planInverse(out, freq)
+	// normalize to unit average power
+	var e float64
+	for _, v := range out {
+		e += real(v)*real(v) + imag(v)*imag(v)
+	}
+	if e > 0 {
+		g := complex(math.Sqrt(float64(n)/e), 0)
+		for i := range out {
+			out[i] *= g
+		}
+	}
+	return out
+}
+
+// placeCentered maps a centered sequence of even length L onto FFT bins of an
+// n-point spectrum: elements 0..L/2-1 to negative bins -L/2..-1 and elements
+// L/2..L-1 to positive bins 1..L/2 (DC skipped), matching the LTE PSS/SSS
+// mapping k = n - 31 around the carrier center.
+func placeCentered(freq []complex128, seq []complex128, n int) {
+	l := len(seq)
+	half := l / 2
+	for i := 0; i < half; i++ {
+		bin := i - half // negative
+		freq[(bin+n)%n] = seq[i]
+	}
+	for i := half; i < l; i++ {
+		bin := i - half + 1 // positive, skipping DC
+		freq[bin] = seq[i]
 	}
 }

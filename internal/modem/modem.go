@@ -322,11 +322,3 @@ func EVM(received, reference []complex128) float64 {
 	}
 	return math.Sqrt(errP / refP)
 }
-
-// SNRFromEVM converts an EVM fraction to the equivalent linear SNR.
-func SNRFromEVM(evm float64) float64 {
-	if evm <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / (evm * evm)
-}

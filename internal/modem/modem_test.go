@@ -167,15 +167,6 @@ func TestEVMKnownOffset(t *testing.T) {
 	}
 }
 
-func TestSNRFromEVM(t *testing.T) {
-	if s := SNRFromEVM(0.1); math.Abs(s-100) > 1e-9 {
-		t.Fatalf("SNR from EVM 0.1 = %v, want 100", s)
-	}
-	if !math.IsInf(SNRFromEVM(0), 1) {
-		t.Fatal("SNR from zero EVM not +inf")
-	}
-}
-
 func TestMapPanicsOnBadLength(t *testing.T) {
 	defer func() {
 		if recover() == nil {

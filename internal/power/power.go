@@ -86,18 +86,3 @@ func TagBudget(bw ltephy.Bandwidth, clock ClockSource) Budget {
 		Clock:          clockPower(bw, clock),
 	}
 }
-
-// ActiveRadioPower returns the typical transmit power draw of a conventional
-// active radio for comparison (the §5 motivation: tens to hundreds of mW for
-// WiFi/BLE/ZigBee wearables).
-func ActiveRadioPower(radio string) float64 {
-	switch radio {
-	case "wifi":
-		return 210e-3
-	case "ble":
-		return 18e-3
-	case "zigbee":
-		return 35e-3
-	}
-	return 100e-3
-}

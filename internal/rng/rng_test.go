@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -136,27 +135,6 @@ func TestComplexVariance(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	check := func(seed uint64, n uint8) bool {
-		size := int(n%32) + 1
-		p := New(seed).Perm(size)
-		if len(p) != size {
-			return false
-		}
-		seen := make([]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestForkIndependence(t *testing.T) {
 	parent := New(23)
 	a := parent.Fork(1)
@@ -185,21 +163,6 @@ func TestBitsAreFair(t *testing.T) {
 	}
 	if ones < 49000 || ones > 51000 {
 		t.Fatalf("ones = %d of 100000, want ~50000", ones)
-	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	r := New(31)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, len(xs))
-	for _, v := range xs {
-		seen[v] = true
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("element %d lost by Shuffle", i)
-		}
 	}
 }
 

@@ -30,12 +30,6 @@ func NewCodec() *Codec {
 // EncodedLen returns the coded length for n payload bits.
 func (c *Codec) EncodedLen(n int) int { return c.conv.EncodedLen(n + 16) }
 
-// Rate returns the code rate including CRC and tail overhead for n payload
-// bits.
-func (c *Codec) Rate(n int) float64 {
-	return float64(n) / float64(c.EncodedLen(n))
-}
-
 // Encode protects payload bits: CRC-16, convolutional encoding,
 // interleaving. The result is what the tag queues.
 func (c *Codec) Encode(payload []byte) []byte {
@@ -46,20 +40,6 @@ func (c *Codec) Encode(payload []byte) []byte {
 // the payload and whether the CRC verified.
 func (c *Codec) Decode(coded []byte) ([]byte, bool) {
 	dec := c.conv.Decode(c.inter.Deinterleave(coded))
-	if dec == nil {
-		return nil, false
-	}
-	return bits.CheckCRC16(dec)
-}
-
-// DecodeSoft decodes from log-likelihood ratios (positive = bit 0). Use it
-// when the demodulator exposes per-unit confidence.
-func (c *Codec) DecodeSoft(llr []float64) ([]byte, bool) {
-	deint := make([]float64, len(llr))
-	for i, src := range c.inter.Permutation(len(llr)) {
-		deint[src] = llr[i]
-	}
-	dec := c.conv.DecodeSoft(deint)
 	if dec == nil {
 		return nil, false
 	}

@@ -123,9 +123,7 @@ func Summarize(xs []float64) Summary {
 // aggregation: a consumer that sees values arrive out of order (a worker
 // pool completing tags, a server folding per-job metrics) adds each sample
 // as it lands and asks for the Summary at the end. The result depends only
-// on the multiset of added values — never on arrival order — so concurrent
-// producers that each feed their own Aggregate and Merge at the end get the
-// same Summary as a single sequential pass.
+// on the multiset of added values, never on arrival order.
 type Aggregate struct {
 	xs []float64
 }
@@ -133,36 +131,14 @@ type Aggregate struct {
 // Add folds one sample into the aggregate.
 func (a *Aggregate) Add(x float64) { a.xs = append(a.xs, x) }
 
-// AddAll folds a batch of samples into the aggregate.
-func (a *Aggregate) AddAll(xs []float64) { a.xs = append(a.xs, xs...) }
-
-// Merge folds another aggregate's samples into this one. The other
-// aggregate is left untouched.
-func (a *Aggregate) Merge(b *Aggregate) { a.xs = append(a.xs, b.xs...) }
-
-// N returns the number of samples added so far.
-func (a *Aggregate) N() int { return len(a.xs) }
-
-// Sum returns the sum of the added samples, accumulated in sorted order so
-// the floating-point result is bit-identical for any insertion order.
-func (a *Aggregate) Sum() float64 {
-	var s float64
-	for _, x := range a.sorted() {
-		s += x
-	}
-	return s
-}
-
 // Summary computes the five-number summary of the added samples. The
 // computation runs over a sorted copy, so every field — including the
 // order-sensitive floating-point Mean — is bit-identical for any insertion
 // order. It panics when no samples have been added (matching Summarize).
-func (a *Aggregate) Summary() Summary { return Summarize(a.sorted()) }
-
-func (a *Aggregate) sorted() []float64 {
+func (a *Aggregate) Summary() Summary {
 	xs := append([]float64(nil), a.xs...)
 	sort.Float64s(xs)
-	return xs
+	return Summarize(xs)
 }
 
 // Box is a Tukey box-plot summary: quartiles, whiskers at the last data point
@@ -246,48 +222,6 @@ func (c *CDF) Quantile(p float64) float64 {
 		i = 0
 	}
 	return c.sorted[i]
-}
-
-// N returns the number of samples behind the CDF.
-func (c *CDF) N() int { return len(c.sorted) }
-
-// Points returns (x, P(X<=x)) pairs suitable for plotting, thinned to at most
-// maxPoints entries.
-func (c *CDF) Points(maxPoints int) (xs, ps []float64) {
-	n := len(c.sorted)
-	step := 1
-	if maxPoints > 0 && n > maxPoints {
-		step = n / maxPoints
-	}
-	for i := 0; i < n; i += step {
-		xs = append(xs, c.sorted[i])
-		ps = append(ps, float64(i+1)/float64(n))
-	}
-	return xs, ps
-}
-
-// Histogram counts samples into nbins equal-width bins over [lo, hi].
-// Samples outside the range are clamped to the first/last bin.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 {
-		panic("stats: Histogram with non-positive bin count")
-	}
-	counts := make([]int, nbins)
-	width := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := 0
-		if width > 0 {
-			i = int((x - lo) / width)
-		}
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	return counts
 }
 
 // QFunc is the Gaussian tail probability Q(x) = P(N(0,1) > x). It is used to

@@ -134,32 +134,6 @@ func TestCDFQuantileInverse(t *testing.T) {
 	}
 }
 
-func TestCDFPointsThinned(t *testing.T) {
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	px, pp := NewCDF(xs).Points(100)
-	if len(px) > 110 || len(px) != len(pp) {
-		t.Fatalf("Points returned %d/%d entries, want <= ~100 matched pairs", len(px), len(pp))
-	}
-	if !sort.Float64sAreSorted(px) {
-		t.Fatal("Points x-values not sorted")
-	}
-}
-
-func TestHistogramTotals(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.5, 0.9, 1.5, -0.5}
-	h := Histogram(xs, 0, 1, 4)
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != len(xs) {
-		t.Fatalf("histogram total = %d, want %d (clamping must keep all samples)", total, len(xs))
-	}
-}
-
 func TestQFuncKnownValues(t *testing.T) {
 	// Q(0)=0.5, Q(1.96)~0.025, Q(-inf)=1
 	if q := QFunc(0); !almostEqual(q, 0.5, 1e-12) {
@@ -240,36 +214,26 @@ func TestAggregateMatchesSummarize(t *testing.T) {
 	if got, want := a.Summary(), Summarize(sorted); got != want {
 		t.Fatalf("Aggregate summary %+v != Summarize %+v", got, want)
 	}
-	if a.N() != len(xs) {
-		t.Fatalf("N = %d, want %d", a.N(), len(xs))
-	}
-	if got, want := a.Sum(), Mean(xs)*float64(len(xs)); math.Abs(got-want) > 1e-9*math.Abs(want) {
-		t.Fatalf("Sum = %v, want %v", got, want)
-	}
 }
 
-func TestAggregateMergeOrderIndependent(t *testing.T) {
+func TestAggregateOrderIndependent(t *testing.T) {
 	r := rng.New(5)
 	xs := make([]float64, 100)
 	for i := range xs {
 		xs[i] = r.Float64() * 100
 	}
-	// Shard the samples across three aggregates in interleaved order, then
-	// merge: must equal the sequential pass.
-	var shards [3]Aggregate
-	for i, x := range xs {
-		shards[i%3].Add(x)
+	// Add the samples in interleaved order (every third sample, three
+	// passes): the summary must equal the sequential pass bit for bit.
+	var sequential, interleaved Aggregate
+	for _, x := range xs {
+		sequential.Add(x)
 	}
-	var sequential Aggregate
-	sequential.AddAll(xs)
-	var merged Aggregate
-	merged.Merge(&shards[2])
-	merged.Merge(&shards[0])
-	merged.Merge(&shards[1])
-	if got, want := merged.Summary(), sequential.Summary(); got != want {
-		t.Fatalf("merged summary %+v != sequential %+v", got, want)
+	for _, start := range []int{2, 0, 1} {
+		for i := start; i < len(xs); i += 3 {
+			interleaved.Add(xs[i])
+		}
 	}
-	if got, want := merged.Sum(), sequential.Sum(); got != want {
-		t.Fatalf("merged sum %v != sequential %v", got, want)
+	if got, want := interleaved.Summary(), sequential.Summary(); got != want {
+		t.Fatalf("interleaved summary %+v != sequential %+v", got, want)
 	}
 }

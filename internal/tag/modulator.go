@@ -21,12 +21,8 @@ const (
 	SSB
 )
 
-// Preamble returns the pre-defined preamble bit pattern for n bits: a fixed
-// PRBS-15 segment known to both tag and UE (§3.3.2). Equivalent to
-// PreambleFor(0, n).
-func Preamble(n int) []byte { return PreambleFor(0, n) }
-
-// PreambleFor returns the preamble of the tag with the given ID. Distinct
+// PreambleFor returns the preamble of the tag with the given ID: n bits of
+// a fixed PRBS-15 segment known to both tag and UE (§3.3.2). Distinct
 // IDs select distinct PRBS segments with low cross-correlation, so a
 // receiver can tell which of several tags opened a burst (the multi-tag
 // extension of §6: tags share the excitation by TDMA and identify

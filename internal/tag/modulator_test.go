@@ -41,7 +41,7 @@ func TestDataSymbolsSchedule(t *testing.T) {
 }
 
 func TestPreambleDeterministic(t *testing.T) {
-	a, b := Preamble(1200), Preamble(1200)
+	a, b := PreambleFor(0, 1200), PreambleFor(0, 1200)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("preamble not deterministic")

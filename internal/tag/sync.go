@@ -124,9 +124,6 @@ func NewSyncCircuit(p ltephy.Params, cfg SyncConfig) *SyncCircuit {
 	return s
 }
 
-// InternalRate returns the circuit's decimated processing rate in Hz.
-func (s *SyncCircuit) InternalRate() float64 { return s.decimRate }
-
 // Trace returns the recorded stage outputs (nil unless tracing was enabled).
 func (s *SyncCircuit) Trace() *SyncTrace { return s.trace }
 

@@ -157,7 +157,7 @@ func TestSyncInternalRateReasonable(t *testing.T) {
 	for _, bw := range []ltephy.Bandwidth{ltephy.BW1_4, ltephy.BW5, ltephy.BW20} {
 		p := ltephy.DefaultParams(bw)
 		sc := NewSyncCircuit(p, SyncConfig{})
-		r := sc.InternalRate()
+		r := sc.decimRate
 		if r < 1.8e6 || r > 4e6 {
 			t.Fatalf("%v: internal rate %v, want ~1.92-3.84 MHz", bw, r)
 		}

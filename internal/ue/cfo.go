@@ -97,9 +97,8 @@ type CFOTracker struct {
 	reacqs   int
 }
 
-// NewCFOTracker builds a tracker starting from an initial estimate of
-// initialHz (e.g. a one-shot EstimateCFO during cell search; 0 when the
-// search assumes a perfect oscillator).
+// NewCFOTracker builds a tracker starting from initialHz (0 assumes a perfect
+// oscillator).
 func NewCFOTracker(p ltephy.Params, initialHz float64, cfg CFOTrackerConfig) *CFOTracker {
 	return &CFOTracker{p: p, cfg: cfg.withDefaults(), est: initialHz}
 }

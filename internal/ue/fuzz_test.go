@@ -45,36 +45,6 @@ func fuzzWaveformSeed() []byte {
 	return buf
 }
 
-// FuzzCellSearch feeds arbitrary IQ streams to the blind cell-acquisition
-// path. The contract: CellSearch never panics — any input either yields a
-// structurally valid result or an error. Valid results must carry a cell ID
-// in 0..503, a subframe of 0 or 5, and in-bounds sample indices.
-func FuzzCellSearch(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(make([]byte, 64))
-	f.Add(make([]byte, 4*4096))
-	f.Add(fuzzWaveformSeed())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		samples := fuzzSamples(data)
-		res, err := CellSearch(ltephy.BW1_4, 2, samples)
-		if err != nil {
-			return
-		}
-		if res.CellID < 0 || res.CellID > 503 {
-			t.Fatalf("cell ID %d out of range", res.CellID)
-		}
-		if res.Subframe != 0 && res.Subframe != 5 {
-			t.Fatalf("subframe %d, want 0 or 5", res.Subframe)
-		}
-		if res.PSSSample < 0 || res.PSSSample >= len(samples) {
-			t.Fatalf("PSS sample %d outside stream of %d", res.PSSSample, len(samples))
-		}
-		if math.IsNaN(res.PSSCorr) || math.IsNaN(res.SSSMetric) {
-			t.Fatalf("NaN metric: PSS %v SSS %v", res.PSSCorr, res.SSSMetric)
-		}
-	})
-}
-
 // FuzzEstimateCFO covers the open-loop CP correlator the tracking loop
 // leans on: arbitrary IQ in, a finite (or zero) frequency out, no panics.
 func FuzzEstimateCFO(f *testing.F) {
